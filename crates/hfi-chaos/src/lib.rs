@@ -442,52 +442,49 @@ mod tests {
         // Corrupting any springboard zeroing op breaks the declared
         // entry contract; the `hfi_enter` assertion must trap before
         // the sandbox observes the leaked value.
-        for fused in [false, true] {
-            for trigger in 0..3u64 {
-                let engine = ChaosEngine::new(ChaosPlan {
-                    seed: 11 ^ trigger,
-                    class: FaultClass::TransitionCorrupt,
-                    trigger,
-                });
-                let monitor = ShadowMonitor::from_spec(&spec());
-                let program = std::sync::Arc::new(springboard_program().finish());
-                let stop = {
-                    let mut functional = Functional::new(program);
-                    functional.set_fused(fused);
-                    functional.set_chaos(Box::new(Rig::new(engine.clone(), monitor.clone())));
-                    functional.run(1_000_000).stop
-                };
-                assert!(engine.fired().is_some(), "trigger {trigger} never fired");
-                assert!(
-                    matches!(stop, Stop::Fault(HfiFault::TransitionContract { .. })),
-                    "fused={fused} trigger {trigger}: expected contract trap, got {stop:?}"
-                );
-                let verdict = classify(&monitor.report(), false);
-                assert!(
-                    matches!(verdict, Verdict::FailClosed { .. }),
-                    "fused={fused} trigger {trigger}: {verdict:?}"
-                );
-            }
-            // Same sweep on the cycle machine.
-            for trigger in 0..3u64 {
-                let engine = ChaosEngine::new(ChaosPlan {
-                    seed: 13 ^ trigger,
-                    class: FaultClass::TransitionCorrupt,
-                    trigger,
-                });
-                let monitor = ShadowMonitor::from_spec(&spec());
-                let mut machine = Machine::new(springboard_program().finish());
-                machine.set_chaos(Box::new(Rig::new(engine.clone(), monitor.clone())));
-                let stop = machine.run(1_000_000).stop;
-                assert!(
-                    matches!(stop, Stop::Fault(HfiFault::TransitionContract { .. })),
-                    "cycle trigger {trigger}: expected contract trap, got {stop:?}"
-                );
-                assert!(matches!(
-                    classify(&monitor.report(), false),
-                    Verdict::FailClosed { .. }
-                ));
-            }
+        for trigger in 0..3u64 {
+            let engine = ChaosEngine::new(ChaosPlan {
+                seed: 11 ^ trigger,
+                class: FaultClass::TransitionCorrupt,
+                trigger,
+            });
+            let monitor = ShadowMonitor::from_spec(&spec());
+            let program = std::sync::Arc::new(springboard_program().finish());
+            let stop = {
+                let mut functional = Functional::new(program);
+                functional.set_chaos(Box::new(Rig::new(engine.clone(), monitor.clone())));
+                functional.run(1_000_000).stop
+            };
+            assert!(engine.fired().is_some(), "trigger {trigger} never fired");
+            assert!(
+                matches!(stop, Stop::Fault(HfiFault::TransitionContract { .. })),
+                "trigger {trigger}: expected contract trap, got {stop:?}"
+            );
+            let verdict = classify(&monitor.report(), false);
+            assert!(
+                matches!(verdict, Verdict::FailClosed { .. }),
+                "trigger {trigger}: {verdict:?}"
+            );
+        }
+        // Same sweep on the cycle machine.
+        for trigger in 0..3u64 {
+            let engine = ChaosEngine::new(ChaosPlan {
+                seed: 13 ^ trigger,
+                class: FaultClass::TransitionCorrupt,
+                trigger,
+            });
+            let monitor = ShadowMonitor::from_spec(&spec());
+            let mut machine = Machine::new(springboard_program().finish());
+            machine.set_chaos(Box::new(Rig::new(engine.clone(), monitor.clone())));
+            let stop = machine.run(1_000_000).stop;
+            assert!(
+                matches!(stop, Stop::Fault(HfiFault::TransitionContract { .. })),
+                "cycle trigger {trigger}: expected contract trap, got {stop:?}"
+            );
+            assert!(matches!(
+                classify(&monitor.report(), false),
+                Verdict::FailClosed { .. }
+            ));
         }
     }
 

@@ -531,6 +531,32 @@ impl HfiContext {
         Err(fault)
     }
 
+    /// True when every fetch inside the byte range `[first, last]` passes
+    /// [`HfiContext::check_fetch`]: HFI is disabled, or the first code
+    /// slot that intersects the range contains all of it and grants
+    /// execute. Slots before that one miss the whole range, so each
+    /// instruction's first-match slot is that one, and it holds the
+    /// instruction's last byte too. A `false` answer says nothing about
+    /// single instructions (an earlier slot may cover part of the range);
+    /// callers then check them one by one.
+    pub fn fetch_covers(&self, first: u64, last: u64) -> bool {
+        if !self.enabled {
+            return true;
+        }
+        for slot in 0..NUM_CODE_REGIONS {
+            if let Some(Region::Code(region)) = &self.regions[slot] {
+                let (lo, hi) = (
+                    region.base_prefix(),
+                    region.base_prefix() | region.lsb_mask(),
+                );
+                if lo <= last && first <= hi {
+                    return lo <= first && last <= hi && region.exec();
+                }
+            }
+        }
+        false
+    }
+
     /// The `hmov{N}` effective-address computation and bounds check
     /// (paper §3.2, §4.2).
     ///
@@ -768,6 +794,51 @@ mod tests {
         assert!(hfi.check_fetch(0x10_0000, 4).is_err());
         // Fetch inside succeeds.
         assert!(hfi.check_fetch(0x800, 4).is_ok());
+    }
+
+    #[test]
+    fn fetch_covers_implies_every_fetch_inside_passes() {
+        // Slot 0 covers the middle of slot 1 and lacks execute in one
+        // layout, so first-match order matters.
+        let layouts: [[(u64, u64, bool); 2]; 3] = [
+            [(0x1000, 0xFFF, true), (0x0, 0x3FFF, true)],
+            [(0x1000, 0xFFF, false), (0x0, 0x3FFF, true)],
+            [(0x2000, 0x1FFF, true), (0x8000, 0x7FFF, true)],
+        ];
+        for layout in layouts {
+            let mut hfi = HfiContext::new();
+            for (slot, (base, mask, exec)) in layout.into_iter().enumerate() {
+                let region = ImplicitCodeRegion::new(base, mask, exec).unwrap();
+                hfi.set_region(slot, Region::Code(region)).unwrap();
+            }
+            hfi.enter(SandboxConfig::hybrid()).unwrap();
+            for first in (0..0x11000u64).step_by(0x3F0) {
+                for span in [1u64, 7, 0x20, 0x900, 0x1800] {
+                    let last = first + span - 1;
+                    if !hfi.fetch_covers(first, last) {
+                        continue;
+                    }
+                    for pc in (first..=last).step_by(3) {
+                        let len = (last - pc + 1).min(4);
+                        assert!(
+                            hfi.check_fetch(pc, len).is_ok(),
+                            "{layout:?}: [{first:#x}, {last:#x}] covered but {pc:#x} faults"
+                        );
+                    }
+                }
+            }
+        }
+        // The middle-slot layout: a range straddling slot 0 is not
+        // covered even though each of its fetches passes.
+        let mut hfi = HfiContext::new();
+        hfi.set_region(0, code_region(0x1000, 0xFFF)).unwrap();
+        hfi.set_region(1, code_region(0x0, 0x3FFF)).unwrap();
+        hfi.enter(SandboxConfig::hybrid()).unwrap();
+        assert!(hfi.check_fetch(0xFFC, 4).is_ok() && hfi.check_fetch(0x1000, 4).is_ok());
+        assert!(!hfi.fetch_covers(0xFFC, 0x1003));
+        assert!(hfi.fetch_covers(0x1000, 0x1FFF));
+        assert!(hfi.fetch_covers(0x2000, 0x3FFF));
+        assert!(!hfi.fetch_covers(0x3FFC, 0x4003));
     }
 
     #[test]

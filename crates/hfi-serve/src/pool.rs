@@ -2,8 +2,8 @@
 //! admit, charged against a real [`SandboxRuntime`] address space.
 //!
 //! One pool entry per tenant holds ready-to-run executor instances. A
-//! **warm hit** pops an instance whose program, decode plan, and fusion
-//! overlay are already resolved and whose heap image is already loaded
+//! **warm hit** pops an instance whose program and decode plan are
+//! already resolved and whose heap image is already loaded
 //! — the request pays a queue pop. A **cold build** pays the tenant's
 //! compile (memoized process-wide by the caller-supplied compile
 //! function, so only the first tenant of a kernel × options pair pays
@@ -77,10 +77,8 @@ pub fn select_cheapest_scheme(
 pub enum Tier {
     /// The cycle-accurate `Machine`.
     Cycle,
-    /// The per-op reference functional interpreter.
+    /// The functional interpreter.
     Functional,
-    /// The block-threaded superinstruction tier.
-    Fused,
 }
 
 impl Tier {
@@ -89,7 +87,6 @@ impl Tier {
         match self {
             Tier::Cycle => "cycle",
             Tier::Functional => "functional",
-            Tier::Fused => "fused",
         }
     }
 }
@@ -337,8 +334,8 @@ impl WarmInstance {
         self.engine.executor_mut()
     }
 
-    /// Direct access to the functional engine (tier `Functional` or
-    /// `Fused`), for state inspection in tests.
+    /// Direct access to the functional engine (tier `Functional`), for
+    /// state inspection in tests.
     pub fn functional_mut(&mut self) -> Option<&mut Functional> {
         match &mut self.engine {
             Engine::Func(f) => Some(f.as_mut()),
@@ -444,7 +441,11 @@ struct PoolsState {
     idle: Vec<Vec<WarmInstance>>,
     /// Approximate LRU over idle instances: tenant indices in release
     /// order; stale entries (empty idle lists) are skipped on recycle.
+    /// Compacted on release so it stays within a small multiple of
+    /// `idle_count` (see [`PoolsState::compact_lru`]).
     lru: VecDeque<usize>,
+    /// Idle instances across all tenants (the sum of `idle` lengths).
+    idle_count: usize,
     /// Per-tenant quarantine: instances whose lease ended in a panic.
     /// Deliberately a dead end — entries never return to `idle`, never
     /// appear in `lru`, and their sandbox slots are never recycled, so
@@ -454,6 +455,29 @@ struct PoolsState {
     /// Next instance serial to stamp at cold build.
     next_serial: u64,
     stats: PoolStats,
+}
+
+/// Entries the LRU deque may hold beyond twice the idle-instance count
+/// before [`WarmPools::release`] compacts it.
+const LRU_SLACK: usize = 64;
+
+impl PoolsState {
+    /// Drops the LRU entries recycling can never use: per tenant, only
+    /// the first `idle[tenant].len()` entries (front to back) are kept —
+    /// the ones [`WarmPools::recycle_idle`] would consume next — in
+    /// their order. The deque then holds at most `idle_count` entries,
+    /// so with [`LRU_SLACK`] the compaction cost is amortized over at
+    /// least `idle_count + LRU_SLACK` releases.
+    fn compact_lru(&mut self) {
+        let mut keep: Vec<usize> = self.idle.iter().map(Vec::len).collect();
+        self.lru.retain(|&tenant| {
+            let left = &mut keep[tenant];
+            *left > 0 && {
+                *left -= 1;
+                true
+            }
+        });
+    }
 }
 
 /// The warm-instance pools of one serving engine (shared across shard
@@ -488,6 +512,7 @@ impl WarmPools {
                 spaces: HashMap::new(),
                 idle,
                 lru: VecDeque::new(),
+                idle_count: 0,
                 quarantine,
                 next_serial: 0,
                 stats: PoolStats::default(),
@@ -540,6 +565,7 @@ impl WarmPools {
             let tenant = state.lru.pop_front()?;
             match state.idle[tenant].last() {
                 Some(candidate) if candidate.isolation == isolation => {
+                    state.idle_count -= 1;
                     return state.idle[tenant].pop();
                 }
                 Some(_) => state.lru.push_back(tenant),
@@ -600,6 +626,7 @@ impl WarmPools {
         {
             let mut state = self.state.lock().expect("pool unpoisoned");
             if let Some(mut instance) = state.idle[tenant].pop() {
+                state.idle_count -= 1;
                 state.stats.warm_hits += 1;
                 instance.generation += 1;
                 return Ok(Lease {
@@ -678,7 +705,11 @@ impl WarmPools {
         prepare_heap(spec, &mut lease.instance);
         let mut state = self.state.lock().expect("pool unpoisoned");
         state.idle[lease.tenant].push(lease.instance);
+        state.idle_count += 1;
         state.lru.push_back(lease.tenant);
+        if state.lru.len() > 2 * state.idle_count + LRU_SLACK {
+            state.compact_lru();
+        }
     }
 
     /// Drops a leased instance entirely, releasing its address space
@@ -734,7 +765,6 @@ fn build_engine(tier: Tier, program: &Arc<Program>) -> Engine {
     match tier {
         Tier::Cycle => Engine::Cycle(Box::new(Machine::new(Arc::clone(program)))),
         Tier::Functional => Engine::Func(Box::new(Functional::new(Arc::clone(program)))),
-        Tier::Fused => Engine::Func(Box::new(Functional::new_fused(Arc::clone(program)))),
     }
 }
 
@@ -1086,6 +1116,47 @@ mod tests {
         );
         assert_eq!(pools.stats().quarantined, quarantined);
         assert_eq!(pools.stats().recycled, 0);
+    }
+
+    #[test]
+    fn lru_deque_stays_bounded_on_warm_hfi_traffic() {
+        // HFI never exhausts its address space here, so nothing recycles
+        // and only compaction can trim the deque.
+        let tenants: Vec<TenantSpec> = (0..8)
+            .map(|i| tenant(&format!("t{i}"), Isolation::Hfi, Some(true)))
+            .collect();
+        let pools = pools(tenants, 42, AdmitPolicy::RequireVerified);
+        let mut rng = hfi_util::Rng::new(7);
+        let mut held = Vec::new();
+        for _ in 0..10_000 {
+            let tenant = rng.below(8) as usize;
+            held.push(pools.checkout(tenant).expect("hfi checkout"));
+            // Hold up to three leases so idle counts move both ways.
+            while held.len() > rng.below(4) as usize {
+                pools.release(held.swap_remove(0));
+                let state = pools.state.lock().unwrap();
+                assert!(
+                    state.lru.len() <= 2 * state.idle_count + LRU_SLACK,
+                    "lru {} for {} idle",
+                    state.lru.len(),
+                    state.idle_count
+                );
+            }
+        }
+        for lease in held.drain(..) {
+            pools.release(lease);
+        }
+        let state = pools.state.lock().unwrap();
+        assert_eq!(
+            state.idle_count,
+            state.idle.iter().map(Vec::len).sum::<usize>()
+        );
+        for (tenant, idle) in state.idle.iter().enumerate() {
+            assert!(
+                idle.is_empty() || state.lru.contains(&tenant),
+                "tenant {tenant} has idle instances but no LRU entry"
+            );
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::chaos::{ArchEvent, ChaosHook};
 use crate::core::{DefaultOs, OsModel, Stop, SyscallOutcome};
 use crate::isa::{AluOp, Inst, Program, Reg};
 use crate::mem::SparseMemory;
-use crate::plan::{fused_plan_of, plan_of, DecodedProgram, MicroOp, OpClass, SuperOpKind, NO_REG};
+use crate::plan::{plan_of, DecodedProgram, MicroOp, OpClass, NO_REG};
 
 /// Per-class cycle costs for the functional timing model, calibrated so
 /// that functional cycle counts track the cycle simulator on the
@@ -100,19 +100,25 @@ struct Fuel {
     check: Box<dyn FnMut() -> bool + Send>,
 }
 
-/// Where control goes after executing one micro-op or superinstruction:
-/// on to another instruction index, or out of the run entirely.
+/// Where control goes after executing one micro-op: on to another
+/// instruction index, or out of the run entirely.
 enum StepExit {
-    /// Continue at this instruction index (usually `pc + 1`; a branch
-    /// target or fault-handler index otherwise).
+    /// The op completed; continue at this instruction index (usually
+    /// `pc + 1`; a branch, jump, or redirect target otherwise).
     Next(usize),
+    /// The op faulted and the fault was delivered to a handler at this
+    /// instruction index. Delivery may have left the sandbox, so the
+    /// block fast path always exits here.
+    Delivered(usize),
     /// Execution is over (halt, exit, unhandled fault, bad handler).
     Stop(Stop),
 }
 
 /// The functional executor.
 pub struct Functional {
-    program: Arc<Program>,
+    /// The shared pre-decoded plan (its backing program included),
+    /// resolved once at construction.
+    plan: Arc<DecodedProgram>,
     /// Data memory.
     pub mem: SparseMemory,
     /// HFI register state (identical semantics to the cycle model).
@@ -130,10 +136,6 @@ pub struct Functional {
     call_stack: Vec<usize>,
     cycles: f64,
     stats: FunctionalStats,
-    /// Which tier [`Functional::run`] drives: `false` is the per-op
-    /// reference loop, `true` the block-threaded superinstruction engine
-    /// over [`fused_plan_of`]. Both produce bit-identical results.
-    fused: bool,
 }
 
 impl std::fmt::Debug for Functional {
@@ -152,7 +154,7 @@ impl Functional {
     /// [`Machine::new`](crate::core::Machine::new)).
     pub fn new(program: impl Into<Arc<Program>>) -> Self {
         Self {
-            program: program.into(),
+            plan: plan_of(&program.into()),
             mem: SparseMemory::new(),
             hfi: HfiContext::new(),
             costs: CostModel::default(),
@@ -165,33 +167,17 @@ impl Functional {
             call_stack: Vec::new(),
             cycles: 0.0,
             stats: FunctionalStats::default(),
-            fused: false,
         }
     }
 
-    /// Creates a functional machine that runs the fused superinstruction
-    /// tier (block-threaded dispatch over [`fused_plan_of`]).
-    pub fn new_fused(program: impl Into<Arc<Program>>) -> Self {
-        let mut functional = Self::new(program);
-        functional.fused = true;
-        functional
-    }
-
-    /// Selects the executor tier: `true` drives the fused
-    /// superinstruction engine, `false` the per-op reference loop.
-    pub fn set_fused(&mut self, fused: bool) {
-        self.fused = fused;
-    }
-
-    /// Resets all per-tenant state, keeping the program, its shared
-    /// plan, and the tier selection: memory, HFI region context,
-    /// registers, call stack, cycles, counters, the signal handler, the
-    /// OS model, and any installed chaos hook all return to their
-    /// just-constructed values. This is the warm-pool teardown
+    /// Resets all per-tenant state, keeping the program and its shared
+    /// plan: memory, HFI region context, registers, call stack, cycles,
+    /// counters, the signal handler, the OS model, and any installed
+    /// chaos or fuel hook all return to their just-constructed values. This is the warm-pool teardown
     /// primitive: a reused instance behaves bit-identically to a
     /// freshly constructed one (`tests/warm_pool_safety.rs`), while the
     /// expensive artifacts — the `Arc<Program>` and its memoized
-    /// decode/fusion plans — survive the reset.
+    /// decode plan — survive the reset.
     pub fn reset(&mut self) {
         self.mem = SparseMemory::new();
         self.hfi = HfiContext::new();
@@ -205,11 +191,6 @@ impl Functional {
         self.call_stack.clear();
         self.cycles = 0.0;
         self.stats = FunctionalStats::default();
-    }
-
-    /// True when [`Functional::run`] drives the fused tier.
-    pub fn is_fused(&self) -> bool {
-        self.fused
     }
 
     /// Replaces the OS model.
@@ -239,10 +220,10 @@ impl Functional {
     ///
     /// While a hook that never fires is installed, counters, cycles,
     /// registers, and the stop reason are bit-identical to an
-    /// uninstrumented run; the fused tier falls back to the per-op
-    /// reference path (like chaos observation), trading throughput for
-    /// a bounded cancellation latency. [`Functional::reset`] clears the
-    /// hook.
+    /// uninstrumented run. The block fast path stays on: it runs a
+    /// whole block only when the countdown to the next poll covers it,
+    /// so polls land on exactly the same instructions.
+    /// [`Functional::reset`] clears the hook.
     pub fn set_fuel(&mut self, period: u64, check: Box<dyn FnMut() -> bool + Send>) {
         let period = period.max(1);
         self.fuel = Some(Fuel {
@@ -329,8 +310,8 @@ impl Functional {
 
     fn fault(&mut self, fault: HfiFault, pc_out: &mut usize) -> Option<Stop> {
         if self.chaos.is_some() {
-            let pc = if *pc_out < self.program.len() {
-                self.program.pc_of(*pc_out)
+            let pc = if *pc_out < self.plan.len() {
+                self.plan.pc(*pc_out)
             } else {
                 0
             };
@@ -345,7 +326,7 @@ impl Functional {
         };
         // Signal delivery is expensive (§3.3.2: OS delivers SIGSEGV).
         self.cycles += 3000.0;
-        match handler.and_then(|h| self.program.index_of_pc(h)) {
+        match handler.and_then(|h| self.plan.program().index_of_pc(h)) {
             Some(idx) => {
                 *pc_out = idx;
                 None
@@ -355,63 +336,56 @@ impl Functional {
     }
 
     /// Delivers a fault raised at instruction index `at` and converts the
-    /// outcome into a [`StepExit`]: redirect to the handler's index, or
+    /// outcome into a [`StepExit`]: delivery to the handler's index, or
     /// stop with the fault.
     fn fault_exit(&mut self, fault: HfiFault, at: usize) -> StepExit {
         let mut pc = at;
         match self.fault(fault, &mut pc) {
             Some(stop) => StepExit::Stop(stop),
-            None => StepExit::Next(pc),
+            None => StepExit::Delivered(pc),
         }
     }
 
-    /// Runs up to `max_insts` instructions on the selected tier.
+    /// Runs up to `max_insts` instructions.
     ///
-    /// The reference tier is direct-threaded over the shared pre-decoded
+    /// The interpreter is direct-threaded over the shared pre-decoded
     /// plan ([`plan_of`]): each step indexes a flat [`MicroOp`] and
-    /// dispatches on its dense class byte — no `Inst` match and no
-    /// operand `Option` walking — while the architectural semantics, the
-    /// cost model, and every counter are identical to interpreting the
-    /// `Inst` stream. Only the payload classes (`hfi_enter`,
-    /// `hfi_enter_child`, `hfi_set_region`) reach back into the program
-    /// for their full operands, off the hot path.
+    /// dispatches on its dense class byte. The architectural semantics,
+    /// the cost model and every counter are those of [`Functional::step`],
+    /// the one reference routine.
     ///
-    /// The fused tier ([`Functional::set_fused`]) instead block-threads
-    /// over the superinstruction plan ([`fused_plan_of`]); results are
-    /// bit-identical (cycles, counters, registers, stop reason) — see
+    /// Whole basic blocks take a fast path when nothing can observe the
+    /// ops between their first and last (see [`Functional::run_blocks`]):
+    /// one fetch check covers a block, and the retired and fetch-check
+    /// counters, the budget and the fuel countdown advance once per run
+    /// of blocks. Each op still runs through [`Functional::execute`], so
+    /// results are bit-identical to stepping op by op — see
     /// `tests/predecode_differential.rs`.
-    /// Statically large, dynamically short programs (see
-    /// [`FUSED_FALLBACK_MAX_OPS`](crate::FUSED_FALLBACK_MAX_OPS)) run
-    /// the reference loop even on the fused tier: block dispatch cannot
-    /// amortize over their low per-block reuse. [`ExecutorKind::Fused`]
-    /// reporting and all counters are unaffected — both loops are
-    /// bit-identical.
     pub fn run(&mut self, max_insts: u64) -> FunctionalResult {
-        if self.fused && !crate::plan::fused_fallback(&self.program) {
-            self.run_fused(max_insts)
-        } else {
-            self.run_unfused(max_insts)
-        }
-    }
-
-    /// The per-op reference loop (the golden functional semantics).
-    fn run_unfused(&mut self, max_insts: u64) -> FunctionalResult {
+        let plan = Arc::clone(&self.plan);
         let mut pc = 0usize;
         let mut stop = Stop::CycleLimit;
         let mut budget = max_insts;
-        let plan = plan_of(&self.program);
-        let program = Arc::clone(&self.program);
         while budget > 0 {
-            budget -= 1;
             if pc >= plan.len() {
                 stop = Stop::Halted;
                 break;
             }
-            if self.fuel.is_some() && !self.poll_fuel() {
-                break; // cancelled: stop stays CycleLimit
-            }
-            match self.step(pc, &plan, &program) {
-                StepExit::Next(next) => pc = next,
+            let exit = match self.run_blocks(pc, budget, &plan) {
+                (0, _) => {
+                    budget -= 1;
+                    if self.fuel.is_some() && !self.poll_fuel() {
+                        break; // cancelled: stop stays CycleLimit
+                    }
+                    self.step(pc, &plan)
+                }
+                (ran, exit) => {
+                    budget -= ran;
+                    exit
+                }
+            };
+            match exit {
+                StepExit::Next(next) | StepExit::Delivered(next) => pc = next,
                 StepExit::Stop(s) => {
                     stop = s;
                     break;
@@ -421,568 +395,144 @@ impl Functional {
         self.result_with(stop)
     }
 
+    /// The block fast path: runs whole basic blocks, chained, from `pc`
+    /// for as long as each next block fits, and returns how many ops
+    /// executed and where control goes. Returns `(0, _)` when the block
+    /// at `pc` does not fit; the caller then steps one op.
+    ///
+    /// A block fits when control enters it at its first op; no chaos
+    /// hook is installed (it may observe or perturb any op); the block
+    /// has no HFI-state-mutating op and no syscall
+    /// ([`BasicBlock::fast`](crate::plan::BasicBlock::fast));
+    /// the budget and the fuel countdown both cover all of its ops, so
+    /// neither can stop the run or poll mid-block; and the active code
+    /// regions grant its whole byte range ([`HfiContext::fetch_covers`]),
+    /// so every per-op fetch check would pass. The chain ends early on a
+    /// stop or any fault delivery — delivery can leave the sandbox.
+    ///
+    /// The ops that executed, a faulting one included, count as retired
+    /// and as fetch checks exactly as [`Functional::step`] counts them:
+    /// no op in the chain can change the sandbox state they were fetched
+    /// under before the last one executes.
+    fn run_blocks(&mut self, mut pc: usize, budget: u64, plan: &DecodedProgram) -> (u64, StepExit) {
+        // Ops the chain may run: the fuel hook calls its check before the
+        // op it meets with `until_poll == 1`, which must run per op.
+        let allowed = match &self.fuel {
+            Some(fuel) => budget.min(fuel.until_poll - 1),
+            None => budget,
+        };
+        if allowed == 0 || self.chaos.is_some() {
+            return (0, StepExit::Next(pc));
+        }
+        let sandboxed = self.hfi.enabled();
+        // One check on the whole program covers every block in it.
+        let covers_all = plan
+            .byte_range()
+            .is_some_and(|(first, last)| self.hfi.fetch_covers(first, last));
+        let mut ran = 0u64;
+        let exit = loop {
+            let block = &plan.blocks()[plan.block_of(pc)];
+            let len = u64::from(block.end - block.start);
+            if pc != block.start as usize
+                || !block.fast
+                || ran + len > allowed
+                || !(covers_all || self.hfi.fetch_covers(block.first_byte, block.last_byte))
+            {
+                break StepExit::Next(pc);
+            }
+            let end = block.end as usize;
+            let start = pc;
+            let exit = loop {
+                match self.execute(pc, plan) {
+                    StepExit::Next(next) if next == pc + 1 && next < end => pc = next,
+                    exit => break exit,
+                }
+            };
+            ran += (pc + 1 - start) as u64;
+            match exit {
+                StepExit::Next(next) if next < plan.len() => pc = next,
+                exit => break exit,
+            }
+        };
+        self.stats.retired += ran;
+        if sandboxed {
+            self.stats.hfi_checks += ran;
+        }
+        if let Some(fuel) = self.fuel.as_mut() {
+            fuel.until_poll -= ran;
+        }
+        (ran, exit)
+    }
+
     /// Executes exactly one micro-op at instruction index `pc` with full
     /// reference semantics — fetch check, counters, chaos observation and
     /// injection, cost accumulation, fault delivery — and reports where
-    /// control goes next. Every driver funnels through this routine:
-    /// `run_unfused` per-op, and `run_fused` for observed runs, mid-block
-    /// entries, and `Step`/`HfiSeq` superops — so the architectural
-    /// semantics live in exactly one place.
-    fn step(&mut self, pc: usize, plan: &DecodedProgram, program: &Arc<Program>) -> StepExit {
-        {
-            let byte_pc = plan.pc(pc);
-            let uop = plan.op(pc);
-            if self.hfi.enabled() {
-                self.stats.hfi_checks += 1;
-            }
-            if let Err(fault) = self.hfi.check_fetch(byte_pc, uop.len as u64) {
-                return self.fault_exit(fault, pc);
-            }
-            self.stats.retired += 1;
-            if self.chaos.is_some() {
-                let sandboxed = self.hfi.enabled();
-                self.chaos_observe(ArchEvent::Retire {
-                    pc: byte_pc,
-                    len: uop.len,
-                    sandboxed,
-                });
-            }
-            let mut next = pc + 1;
-            match uop.class {
-                OpClass::AluRR => {
-                    self.cycles += self.weight_of(uop.alu);
-                    self.regs[uop.dst as usize] =
-                        alu(uop.alu, self.slot(uop.srcs[0]), self.slot(uop.srcs[1]));
-                }
-                OpClass::AluRI => {
-                    self.cycles += self.weight_of(uop.alu);
-                    self.regs[uop.dst as usize] =
-                        alu(uop.alu, self.slot(uop.srcs[0]), uop.imm as u64);
-                }
-                OpClass::MovI => {
-                    self.cycles += self.weights.alu;
-                    self.regs[uop.dst as usize] = uop.imm as u64;
-                }
-                OpClass::Mov => {
-                    self.cycles += self.weights.alu;
-                    self.regs[uop.dst as usize] = self.slot(uop.srcs[0]);
-                }
-                OpClass::Rdtsc => {
-                    self.cycles += self.weights.alu;
-                    self.regs[uop.dst as usize] = self.cycles as u64;
-                }
-                OpClass::Load => {
-                    self.cycles += self.weights.mem;
-                    self.stats.mem_ops += 1;
-                    if self.hfi.enabled() {
-                        self.stats.hfi_checks += 1;
-                    }
-                    let mut addr = self.ea_of(uop);
-                    let mut skip = false;
-                    if let Some(hook) = self.chaos.as_deref_mut() {
-                        addr = hook.perturb_ea(byte_pc, addr);
-                        skip = hook.skip_guard(byte_pc);
-                    }
-                    if !skip {
-                        if let Err(f) = self.hfi.check_data(addr, uop.size as u64, Access::Read) {
-                            return self.fault_exit(f, pc);
-                        }
-                    }
-                    self.regs[uop.dst as usize] = self.mem.read(addr, uop.size);
-                    if self.chaos.is_some() {
-                        let sandboxed = self.hfi.enabled();
-                        self.chaos_observe(ArchEvent::Mem {
-                            pc: byte_pc,
-                            addr,
-                            size: uop.size,
-                            access: Access::Read,
-                            hmov: None,
-                            sandboxed,
-                        });
-                    }
-                }
-                OpClass::Store => {
-                    self.cycles += self.weights.mem;
-                    self.stats.mem_ops += 1;
-                    if self.hfi.enabled() {
-                        self.stats.hfi_checks += 1;
-                    }
-                    let mut addr = self.ea_of(uop);
-                    let mut skip = false;
-                    if let Some(hook) = self.chaos.as_deref_mut() {
-                        addr = hook.perturb_ea(byte_pc, addr);
-                        skip = hook.skip_guard(byte_pc);
-                    }
-                    if !skip {
-                        if let Err(f) = self.hfi.check_data(addr, uop.size as u64, Access::Write) {
-                            return self.fault_exit(f, pc);
-                        }
-                    }
-                    self.mem.write(addr, self.slot(uop.srcs[2]), uop.size);
-                    if self.chaos.is_some() {
-                        let sandboxed = self.hfi.enabled();
-                        self.chaos_observe(ArchEvent::Mem {
-                            pc: byte_pc,
-                            addr,
-                            size: uop.size,
-                            access: Access::Write,
-                            hmov: None,
-                            sandboxed,
-                        });
-                    }
-                }
-                OpClass::HmovLoad => {
-                    self.cycles += self.weights.mem;
-                    self.stats.mem_ops += 1;
-                    self.stats.hfi_checks += 1;
-                    let mut index = self.slot(uop.srcs[1]) as i64;
-                    let mut skip = false;
-                    if let Some(hook) = self.chaos.as_deref_mut() {
-                        // The flip lands in the address datapath upstream
-                        // of the §4.2 guard, which must still face it.
-                        index = hook.perturb_ea(byte_pc, index as u64) as i64;
-                        skip = hook.skip_guard(byte_pc);
-                    }
-                    let resolved = match self.hfi.hmov_check_access(
-                        uop.region,
-                        index,
-                        uop.scale as u64,
-                        uop.imm,
-                        uop.size as u64,
-                        Access::Read,
-                    ) {
-                        Ok(ea) => Ok(ea),
-                        // A dropped guard micro-op: the raw AGU address
-                        // proceeds unchecked (fault injection only).
-                        Err(f) => match self.hfi.hmov_unchecked_ea(
-                            uop.region,
-                            index,
-                            uop.scale as u64,
-                            uop.imm,
-                        ) {
-                            Some(ea) if skip => Ok(ea),
-                            _ => Err(f),
-                        },
-                    };
-                    match resolved {
-                        Ok(ea) => {
-                            self.regs[uop.dst as usize] = self.mem.read(ea, uop.size);
-                            if self.chaos.is_some() {
-                                let sandboxed = self.hfi.enabled();
-                                self.chaos_observe(ArchEvent::Mem {
-                                    pc: byte_pc,
-                                    addr: ea,
-                                    size: uop.size,
-                                    access: Access::Read,
-                                    hmov: Some(uop.region),
-                                    sandboxed,
-                                });
-                            }
-                        }
-                        Err(f) => return self.fault_exit(f, pc),
-                    }
-                }
-                OpClass::HmovStore => {
-                    self.cycles += self.weights.mem;
-                    self.stats.mem_ops += 1;
-                    self.stats.hfi_checks += 1;
-                    let mut index = self.slot(uop.srcs[1]) as i64;
-                    let mut skip = false;
-                    if let Some(hook) = self.chaos.as_deref_mut() {
-                        index = hook.perturb_ea(byte_pc, index as u64) as i64;
-                        skip = hook.skip_guard(byte_pc);
-                    }
-                    let resolved = match self.hfi.hmov_check_access(
-                        uop.region,
-                        index,
-                        uop.scale as u64,
-                        uop.imm,
-                        uop.size as u64,
-                        Access::Write,
-                    ) {
-                        Ok(ea) => Ok(ea),
-                        Err(f) => match self.hfi.hmov_unchecked_ea(
-                            uop.region,
-                            index,
-                            uop.scale as u64,
-                            uop.imm,
-                        ) {
-                            Some(ea) if skip => Ok(ea),
-                            _ => Err(f),
-                        },
-                    };
-                    match resolved {
-                        Ok(ea) => {
-                            self.mem.write(ea, self.slot(uop.srcs[2]), uop.size);
-                            if self.chaos.is_some() {
-                                let sandboxed = self.hfi.enabled();
-                                self.chaos_observe(ArchEvent::Mem {
-                                    pc: byte_pc,
-                                    addr: ea,
-                                    size: uop.size,
-                                    access: Access::Write,
-                                    hmov: Some(uop.region),
-                                    sandboxed,
-                                });
-                            }
-                        }
-                        Err(f) => return self.fault_exit(f, pc),
-                    }
-                }
-                OpClass::Branch => {
-                    self.cycles += self.weights.branch;
-                    self.stats.branches += 1;
-                    if uop
-                        .cond
-                        .eval(self.slot(uop.srcs[0]), self.slot(uop.srcs[1]))
-                    {
-                        next = uop.target as usize;
-                    }
-                }
-                OpClass::BranchI => {
-                    self.cycles += self.weights.branch;
-                    self.stats.branches += 1;
-                    if uop.cond.eval(self.slot(uop.srcs[0]), uop.imm as u64) {
-                        next = uop.target as usize;
-                    }
-                }
-                OpClass::Jump => {
-                    self.cycles += self.weights.control;
-                    next = uop.target as usize;
-                }
-                OpClass::JumpInd => {
-                    self.cycles += self.weights.control;
-                    self.stats.branches += 1;
-                    let target_pc = self.slot(uop.srcs[0]);
-                    next = match self.program.index_of_pc(target_pc) {
-                        Some(idx) => idx,
-                        None => {
-                            let fault = match self.hfi.check_fetch(target_pc, 1) {
-                                Err(fault) => fault,
-                                Ok(()) => HfiFault::Hardware { addr: target_pc },
-                            };
-                            return self.fault_exit(fault, pc);
-                        }
-                    };
-                }
-                OpClass::Call => {
-                    self.cycles += self.weights.control;
-                    self.call_stack.push(pc + 1);
-                    next = uop.target as usize;
-                }
-                OpClass::Ret => {
-                    self.cycles += self.weights.control;
-                    next = match self.call_stack.pop() {
-                        Some(idx) => idx,
-                        None => return StepExit::Stop(Stop::Halted),
-                    };
-                }
-                OpClass::Syscall => {
-                    let number = self.regs[0];
-                    self.cycles += self.costs.syscall_check_cycles as f64;
-                    match self.hfi.syscall(number, SyscallKind::Syscall) {
-                        SyscallDisposition::Redirect(handler) => {
-                            self.stats.syscalls_redirected += 1;
-                            if pc + 1 < self.program.len() {
-                                self.regs[14] = self.program.pc_of(pc + 1);
-                            }
-                            next = match self.program.index_of_pc(handler) {
-                                Some(idx) => idx,
-                                None => {
-                                    return StepExit::Stop(Stop::Fault(HfiFault::Hardware {
-                                        addr: handler,
-                                    }));
-                                }
-                            };
-                        }
-                        SyscallDisposition::Allow => {
-                            self.stats.syscalls_to_os += 1;
-                            let outcome: SyscallOutcome =
-                                self.os.syscall(number, &mut self.regs, &mut self.mem);
-                            self.cycles += self.costs.syscall_roundtrip_cycles as f64
-                                + outcome.extra_cycles as f64;
-                            self.regs[0] = outcome.ret;
-                            if outcome.exit {
-                                return StepExit::Stop(Stop::Exited { code: self.regs[1] });
-                            }
-                        }
-                        SyscallDisposition::Fault => {
-                            return self.fault_exit(HfiFault::PrivilegedInstruction, pc);
-                        }
-                    }
-                }
-                OpClass::Cpuid => {
-                    self.stats.serializations += 1;
-                    self.cycles += self.costs.serialize_cycles as f64;
-                }
-                OpClass::Fence => {
-                    self.cycles += 2.0;
-                }
-                OpClass::Flush => {
-                    self.cycles += 3.0;
-                }
-                OpClass::HfiEnter => {
-                    let Inst::HfiEnter { config } = program.inst(pc) else {
-                        unreachable!("plan class HfiEnter lowered from HfiEnter");
-                    };
-                    // Entry assertion: re-validate the springboard's
-                    // contract against the architectural register file
-                    // before the sandbox starts (free — the compares
-                    // overlap the enter microcode). This is the
-                    // fail-closed backstop for transition corruption.
-                    if let Some(contract) = program.contract() {
-                        let mut skip = false;
-                        if let Some(hook) = self.chaos.as_deref_mut() {
-                            skip = hook.skip_transition_check(byte_pc);
-                        }
-                        if !skip {
-                            if let Some(reg) = contract.first_violation(&self.regs) {
-                                return self.fault_exit(HfiFault::TransitionContract { reg }, pc);
-                            }
-                        }
-                    }
-                    self.cycles += self.costs.enter_exit_base_cycles as f64;
-                    match self.hfi.enter(*config) {
-                        Ok(effect) => {
-                            if effect == hfi_core::SerializationEffect::Serialize {
-                                self.stats.serializations += 1;
-                                self.cycles += self.costs.serialize_cycles as f64;
-                            }
-                        }
-                        Err(f) => return self.fault_exit(f, pc),
-                    }
-                }
-                OpClass::HfiEnterChild => {
-                    let Inst::HfiEnterChild { config, regions } = program.inst(pc) else {
-                        unreachable!("plan class HfiEnterChild lowered from HfiEnterChild");
-                    };
-                    self.cycles +=
-                        (self.costs.enter_exit_base_cycles + self.costs.set_region_cycles) as f64;
-                    match self.hfi.enter_child(*config, **regions) {
-                        Ok(effect) => {
-                            if effect == hfi_core::SerializationEffect::Serialize {
-                                self.stats.serializations += 1;
-                                self.cycles += self.costs.serialize_cycles as f64;
-                            }
-                        }
-                        Err(f) => return self.fault_exit(f, pc),
-                    }
-                }
-                OpClass::HfiExit => {
-                    self.cycles += self.costs.enter_exit_base_cycles as f64;
-                    match self.hfi.exit() {
-                        Ok((disposition, effect)) => {
-                            if effect == hfi_core::SerializationEffect::Serialize {
-                                self.stats.serializations += 1;
-                                self.cycles += self.costs.serialize_cycles as f64;
-                            }
-                            if let ExitDisposition::JumpToHandler(handler) = disposition {
-                                next = match self.program.index_of_pc(handler) {
-                                    Some(idx) => idx,
-                                    None => {
-                                        return StepExit::Stop(Stop::Fault(HfiFault::Hardware {
-                                            addr: handler,
-                                        }));
-                                    }
-                                };
-                            }
-                        }
-                        Err(f) => return self.fault_exit(f, pc),
-                    }
-                }
-                OpClass::HfiReenter => {
-                    self.cycles += self.costs.enter_exit_base_cycles as f64;
-                    if let Err(f) = self.hfi.reenter() {
-                        return self.fault_exit(f, pc);
-                    }
-                }
-                OpClass::HfiSetRegion => {
-                    let Inst::HfiSetRegion { slot, region } = program.inst(pc) else {
-                        unreachable!("plan class HfiSetRegion lowered from HfiSetRegion");
-                    };
-                    self.cycles += self.costs.set_region_cycles as f64;
-                    match self.hfi.set_region(*slot as usize, *region) {
-                        Ok(effect) => {
-                            if effect == hfi_core::SerializationEffect::Serialize {
-                                self.stats.serializations += 1;
-                                self.cycles += self.costs.serialize_cycles as f64;
-                            }
-                        }
-                        Err(f) => return self.fault_exit(f, pc),
-                    }
-                }
-                OpClass::HfiClearRegion => {
-                    self.cycles += 1.0;
-                    if let Err(f) = self.hfi.clear_region(uop.region as usize) {
-                        return self.fault_exit(f, pc);
-                    }
-                }
-                OpClass::HfiClearAllRegions => {
-                    self.cycles += 1.0;
-                    if let Err(f) = self.hfi.clear_all_regions() {
-                        return self.fault_exit(f, pc);
-                    }
-                }
-                OpClass::Nop => {
-                    self.cycles += self.weights.alu;
-                }
-                OpClass::Halt => return StepExit::Stop(Stop::Halted),
-            }
-            if self.chaos.is_some() {
-                if uop.dst != NO_REG {
-                    let value = self.regs[uop.dst as usize];
-                    if let Some(hook) = self.chaos.as_deref_mut() {
-                        self.regs[uop.dst as usize] = hook.perturb_result(byte_pc, value);
-                    }
-                    // Transition corruption: a springboard op whose
-                    // result never lands — the register keeps junk in
-                    // place of the zeroed/switched value. The entry
-                    // assertion at `hfi_enter` must catch it.
-                    if uop.has(MicroOp::TRANSITION) {
-                        if let Some(hook) = self.chaos.as_deref_mut() {
-                            if hook.corrupt_transition(byte_pc) {
-                                self.regs[uop.dst as usize] =
-                                    crate::chaos::transition_junk(byte_pc);
-                            }
-                        }
-                    }
-                }
-                // "Between instructions": the retired op's architectural
-                // effects are visible, the next fetch has not happened.
-                if let Some(hook) = self.chaos.as_deref_mut() {
-                    hook.corrupt_context(&mut self.hfi);
-                }
-            }
-            StepExit::Next(next)
-        }
-    }
-
-    /// The block-threaded engine over the fused superinstruction plan.
-    ///
-    /// Dispatches one [`SuperOp`] at a time instead of one micro-op at a
-    /// time: straight-line runs of same-category ops execute in tight
-    /// specialized loops (`sop_alu_run`, `sop_guarded_run`, …) that skip
-    /// per-op class dispatch. Three situations fall back to the reference
-    /// [`Functional::step`] routine so semantics stay bit-identical:
-    ///
-    /// * a chaos hook is attached (`corrupt_context` may rewrite the HFI
-    ///   context between *any* two ops, so every op must be observed);
-    /// * control enters a block mid-way (fault-handler redirects and
-    ///   indirect jumps can land inside a superop);
-    /// * the superop kind is `HfiSeq` or `Step` (cold / payload classes).
-    fn run_fused(&mut self, max_insts: u64) -> FunctionalResult {
-        let fused = fused_plan_of(&self.program);
-        let plan = Arc::clone(fused.base());
-        let program = Arc::clone(&self.program);
-        let observed = self.chaos.is_some() || self.fuel.is_some();
-        let mut pc = 0usize;
-        let mut stop = Stop::CycleLimit;
-        let mut budget = max_insts;
-        'outer: while budget > 0 {
-            if pc >= plan.len() {
-                stop = Stop::Halted;
-                break;
-            }
-            let b = plan.block_of(pc);
-            let bb = plan.blocks()[b];
-            if observed || pc != bb.start as usize {
-                // Reference path: per-op, fully observed.
-                budget -= 1;
-                if self.fuel.is_some() && !self.poll_fuel() {
-                    break; // cancelled: stop stays CycleLimit
-                }
-                match self.step(pc, &plan, &program) {
-                    StepExit::Next(next) => pc = next,
-                    StepExit::Stop(s) => {
-                        stop = s;
-                        break;
-                    }
-                }
-                continue;
-            }
-            // Fast path: thread the block's superops in order.
-            let fb = fused.block(b);
-            let mut s = fb.sop_start;
-            while s < fb.sop_end {
-                if budget == 0 {
-                    continue 'outer;
-                }
-                let sop = *fused.sop(s as usize);
-                let start = sop.start as usize;
-                let end = sop.end();
-                let exit = match sop.kind {
-                    SuperOpKind::AluRun => self.sop_alu_run(start, end, &mut budget, &plan),
-                    SuperOpKind::CmpBranch => self.sop_cmp_branch(start, &mut budget, &plan),
-                    SuperOpKind::GuardedAccess => {
-                        self.sop_guarded_run(start, end, &mut budget, &plan)
-                    }
-                    SuperOpKind::HmovChain => self.sop_hmov_run(start, end, &mut budget, &plan),
-                    SuperOpKind::HfiSeq | SuperOpKind::Step => {
-                        self.sop_step_run(start, end, &mut budget, &plan, &program)
-                    }
-                };
-                match exit {
-                    StepExit::Next(next) if next == end => {
-                        pc = next;
-                        s += 1;
-                    }
-                    StepExit::Next(next) => {
-                        // Divergence: taken branch, fault-handler redirect,
-                        // or budget exhaustion mid-superop. Re-enter the
-                        // outer dispatch from wherever control landed.
-                        pc = next;
-                        continue 'outer;
-                    }
-                    StepExit::Stop(s) => {
-                        stop = s;
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        self.result_with(stop)
-    }
-
-    fn result_with(&self, stop: Stop) -> FunctionalResult {
-        FunctionalResult {
-            cycles: self.cycles,
-            stop,
-            stats: self.stats,
-            regs: self.regs,
-        }
-    }
-
-    /// Fetch-side HFI check for one instruction index, mirroring the head
-    /// of [`Functional::step`]. Only called when a check can actually
-    /// happen; when HFI is disabled `check_fetch` is a no-op with no
-    /// counter side effects, so the call is skipped entirely.
-    #[inline]
-    fn fetch_gate(&mut self, idx: usize, plan: &DecodedProgram) -> Result<(), StepExit> {
+    /// control goes next.
+    fn step(&mut self, pc: usize, plan: &DecodedProgram) -> StepExit {
+        let byte_pc = plan.pc(pc);
+        let uop = plan.op(pc);
         if self.hfi.enabled() {
             self.stats.hfi_checks += 1;
-            if let Err(fault) = self.hfi.check_fetch(plan.pc(idx), plan.op(idx).len as u64) {
-                return Err(self.fault_exit(fault, idx));
+        }
+        if let Err(fault) = self.hfi.check_fetch(byte_pc, uop.len as u64) {
+            return self.fault_exit(fault, pc);
+        }
+        self.stats.retired += 1;
+        if self.chaos.is_none() {
+            return self.execute(pc, plan);
+        }
+        let sandboxed = self.hfi.enabled();
+        self.chaos_observe(ArchEvent::Retire {
+            pc: byte_pc,
+            len: uop.len,
+            sandboxed,
+        });
+        let exit = self.execute(pc, plan);
+        if let StepExit::Next(_) = exit {
+            if uop.dst != NO_REG {
+                let value = self.regs[uop.dst as usize];
+                if let Some(hook) = self.chaos.as_deref_mut() {
+                    self.regs[uop.dst as usize] = hook.perturb_result(byte_pc, value);
+                }
+                // Transition corruption: a springboard op whose
+                // result never lands — the register keeps junk in
+                // place of the zeroed/switched value. The entry
+                // assertion at `hfi_enter` must catch it.
+                if uop.has(MicroOp::TRANSITION) {
+                    if let Some(hook) = self.chaos.as_deref_mut() {
+                        if hook.corrupt_transition(byte_pc) {
+                            self.regs[uop.dst as usize] = crate::chaos::transition_junk(byte_pc);
+                        }
+                    }
+                }
+            }
+            // "Between instructions": the retired op's architectural
+            // effects are visible, the next fetch has not happened.
+            if let Some(hook) = self.chaos.as_deref_mut() {
+                hook.corrupt_context(&mut self.hfi);
             }
         }
-        Ok(())
+        exit
     }
 
-    /// Executes one `Simple`-category op (ALU / moves / rdtsc / nop)
-    /// without the full class dispatch. Must stay cost- and
-    /// counter-identical to the matching arms in [`Functional::step`].
-    #[inline]
-    fn exec_simple(&mut self, uop: &MicroOp) {
+    /// The semantic arm of one fetched micro-op: its cost, its effect on
+    /// registers, memory and HFI state, its data-side checks, and its
+    /// successor. Fetch checking and retirement are the caller's.
+    #[inline(always)]
+    fn execute(&mut self, pc: usize, plan: &DecodedProgram) -> StepExit {
+        let program = plan.program();
+        let byte_pc = plan.pc(pc);
+        let uop = plan.op(pc);
+        let mut next = pc + 1;
         match uop.class {
             OpClass::AluRR => {
                 self.cycles += self.weight_of(uop.alu);
-                let a = self.slot(uop.srcs[0]);
-                let b = self.slot(uop.srcs[1]);
-                self.regs[uop.dst as usize] = alu(uop.alu, a, b);
+                self.regs[uop.dst as usize] =
+                    alu(uop.alu, self.slot(uop.srcs[0]), self.slot(uop.srcs[1]));
             }
             OpClass::AluRI => {
                 self.cycles += self.weight_of(uop.alu);
-                let a = self.slot(uop.srcs[0]);
-                self.regs[uop.dst as usize] = alu(uop.alu, a, uop.imm as u64);
+                self.regs[uop.dst as usize] = alu(uop.alu, self.slot(uop.srcs[0]), uop.imm as u64);
             }
             OpClass::MovI => {
                 self.cycles += self.weights.alu;
@@ -996,209 +546,373 @@ impl Functional {
                 self.cycles += self.weights.alu;
                 self.regs[uop.dst as usize] = self.cycles as u64;
             }
-            _ => {
-                // `Nop` is the only other Simple class.
-                self.cycles += self.weights.alu;
-            }
-        }
-    }
-
-    /// `AluRun` superop: a straight run of Simple ops.
-    fn sop_alu_run(
-        &mut self,
-        start: usize,
-        end: usize,
-        budget: &mut u64,
-        plan: &DecodedProgram,
-    ) -> StepExit {
-        // Straight-line fast path: with HFI disabled there is no fetch
-        // gate (a disabled `check_fetch` is a no-op with no counter side
-        // effects) and Simple ops cannot fault or redirect, so the whole
-        // run retires unconditionally. Batching the budget decrement and
-        // retired bump is exact: the reference loop's per-op `budget -= 1`
-        // totals the same subtraction, and budget is unobservable except
-        // through where execution stops — which this path never changes
-        // (it only enters when the budget covers the full run). Per-op
-        // cycle accumulation order is preserved inside `exec_simple`.
-        let count = (end - start) as u64;
-        if *budget >= count && !self.hfi.enabled() {
-            *budget -= count;
-            self.stats.retired += count;
-            for uop in &plan.ops()[start..end] {
-                let uop = *uop;
-                self.exec_simple(&uop);
-            }
-            return StepExit::Next(end);
-        }
-        for idx in start..end {
-            if *budget == 0 {
-                return StepExit::Next(idx);
-            }
-            *budget -= 1;
-            if let Err(exit) = self.fetch_gate(idx, plan) {
-                return exit;
-            }
-            self.stats.retired += 1;
-            let uop = *plan.op(idx);
-            self.exec_simple(&uop);
-        }
-        StepExit::Next(end)
-    }
-
-    /// `CmpBranch` superop: one Simple op (the compare) immediately
-    /// followed by the block-terminating conditional branch.
-    fn sop_cmp_branch(
-        &mut self,
-        start: usize,
-        budget: &mut u64,
-        plan: &DecodedProgram,
-    ) -> StepExit {
-        *budget -= 1;
-        if let Err(exit) = self.fetch_gate(start, plan) {
-            return exit;
-        }
-        self.stats.retired += 1;
-        let cmp = *plan.op(start);
-        self.exec_simple(&cmp);
-        if *budget == 0 {
-            return StepExit::Next(start + 1);
-        }
-        *budget -= 1;
-        let br_idx = start + 1;
-        if let Err(exit) = self.fetch_gate(br_idx, plan) {
-            return exit;
-        }
-        self.stats.retired += 1;
-        let br = *plan.op(br_idx);
-        self.cycles += self.weights.branch;
-        self.stats.branches += 1;
-        let lhs = self.slot(br.srcs[0]);
-        let rhs = if br.class == OpClass::BranchI {
-            br.imm as u64
-        } else {
-            self.slot(br.srcs[1])
-        };
-        StepExit::Next(if br.cond.eval(lhs, rhs) {
-            br.target as usize
-        } else {
-            br_idx + 1
-        })
-    }
-
-    /// `GuardedAccess` superop: a run of implicitly-checked loads/stores.
-    fn sop_guarded_run(
-        &mut self,
-        start: usize,
-        end: usize,
-        budget: &mut u64,
-        plan: &DecodedProgram,
-    ) -> StepExit {
-        for idx in start..end {
-            if *budget == 0 {
-                return StepExit::Next(idx);
-            }
-            *budget -= 1;
-            if let Err(exit) = self.fetch_gate(idx, plan) {
-                return exit;
-            }
-            self.stats.retired += 1;
-            let uop = *plan.op(idx);
-            self.cycles += self.weights.mem;
-            self.stats.mem_ops += 1;
-            if self.hfi.enabled() {
-                self.stats.hfi_checks += 1;
-            }
-            let addr = self.ea_of(&uop);
-            if uop.has(MicroOp::IS_STORE) {
-                if let Err(f) = self.hfi.check_data(addr, uop.size as u64, Access::Write) {
-                    return self.fault_exit(f, idx);
+            OpClass::Load => {
+                self.cycles += self.weights.mem;
+                self.stats.mem_ops += 1;
+                if self.hfi.enabled() {
+                    self.stats.hfi_checks += 1;
                 }
-                self.mem.write(addr, self.slot(uop.srcs[2]), uop.size);
-            } else {
-                if let Err(f) = self.hfi.check_data(addr, uop.size as u64, Access::Read) {
-                    return self.fault_exit(f, idx);
+                let mut addr = self.ea_of(uop);
+                let mut skip = false;
+                if let Some(hook) = self.chaos.as_deref_mut() {
+                    addr = hook.perturb_ea(byte_pc, addr);
+                    skip = hook.skip_guard(byte_pc);
                 }
-                self.regs[uop.dst as usize] = self.mem.read(addr, uop.size);
-            }
-        }
-        StepExit::Next(end)
-    }
-
-    /// `HmovChain` superop: a run of explicitly-checked hmov accesses.
-    ///
-    /// The `hmov_unchecked_ea` fallback in the reference path is only
-    /// reachable when a chaos hook forces `skip_guard` — and chaos runs
-    /// never reach the fast handlers — so it is omitted here.
-    fn sop_hmov_run(
-        &mut self,
-        start: usize,
-        end: usize,
-        budget: &mut u64,
-        plan: &DecodedProgram,
-    ) -> StepExit {
-        for idx in start..end {
-            if *budget == 0 {
-                return StepExit::Next(idx);
-            }
-            *budget -= 1;
-            if let Err(exit) = self.fetch_gate(idx, plan) {
-                return exit;
-            }
-            self.stats.retired += 1;
-            let uop = *plan.op(idx);
-            self.cycles += self.weights.mem;
-            self.stats.mem_ops += 1;
-            self.stats.hfi_checks += 1;
-            let index = self.slot(uop.srcs[1]) as i64;
-            let access = if uop.has(MicroOp::IS_STORE) {
-                Access::Write
-            } else {
-                Access::Read
-            };
-            match self.hfi.hmov_check_access(
-                uop.region,
-                index,
-                uop.scale as u64,
-                uop.imm,
-                uop.size as u64,
-                access,
-            ) {
-                Ok(ea) => {
-                    if access == Access::Write {
-                        self.mem.write(ea, self.slot(uop.srcs[2]), uop.size);
-                    } else {
-                        self.regs[uop.dst as usize] = self.mem.read(ea, uop.size);
+                if !skip {
+                    if let Err(f) = self.hfi.check_data(addr, uop.size as u64, Access::Read) {
+                        return self.fault_exit(f, pc);
                     }
                 }
-                Err(f) => return self.fault_exit(f, idx),
+                self.regs[uop.dst as usize] = self.mem.read(addr, uop.size);
+                if self.chaos.is_some() {
+                    let sandboxed = self.hfi.enabled();
+                    self.chaos_observe(ArchEvent::Mem {
+                        pc: byte_pc,
+                        addr,
+                        size: uop.size,
+                        access: Access::Read,
+                        hmov: None,
+                        sandboxed,
+                    });
+                }
             }
+            OpClass::Store => {
+                self.cycles += self.weights.mem;
+                self.stats.mem_ops += 1;
+                if self.hfi.enabled() {
+                    self.stats.hfi_checks += 1;
+                }
+                let mut addr = self.ea_of(uop);
+                let mut skip = false;
+                if let Some(hook) = self.chaos.as_deref_mut() {
+                    addr = hook.perturb_ea(byte_pc, addr);
+                    skip = hook.skip_guard(byte_pc);
+                }
+                if !skip {
+                    if let Err(f) = self.hfi.check_data(addr, uop.size as u64, Access::Write) {
+                        return self.fault_exit(f, pc);
+                    }
+                }
+                self.mem.write(addr, self.slot(uop.srcs[2]), uop.size);
+                if self.chaos.is_some() {
+                    let sandboxed = self.hfi.enabled();
+                    self.chaos_observe(ArchEvent::Mem {
+                        pc: byte_pc,
+                        addr,
+                        size: uop.size,
+                        access: Access::Write,
+                        hmov: None,
+                        sandboxed,
+                    });
+                }
+            }
+            OpClass::HmovLoad => {
+                self.cycles += self.weights.mem;
+                self.stats.mem_ops += 1;
+                self.stats.hfi_checks += 1;
+                let mut index = self.slot(uop.srcs[1]) as i64;
+                let mut skip = false;
+                if let Some(hook) = self.chaos.as_deref_mut() {
+                    // The flip lands in the address datapath upstream
+                    // of the §4.2 guard, which must still face it.
+                    index = hook.perturb_ea(byte_pc, index as u64) as i64;
+                    skip = hook.skip_guard(byte_pc);
+                }
+                let resolved = match self.hfi.hmov_check_access(
+                    uop.region,
+                    index,
+                    uop.scale as u64,
+                    uop.imm,
+                    uop.size as u64,
+                    Access::Read,
+                ) {
+                    Ok(ea) => Ok(ea),
+                    // A dropped guard micro-op: the raw AGU address
+                    // proceeds unchecked (fault injection only).
+                    Err(f) => match self.hfi.hmov_unchecked_ea(
+                        uop.region,
+                        index,
+                        uop.scale as u64,
+                        uop.imm,
+                    ) {
+                        Some(ea) if skip => Ok(ea),
+                        _ => Err(f),
+                    },
+                };
+                match resolved {
+                    Ok(ea) => {
+                        self.regs[uop.dst as usize] = self.mem.read(ea, uop.size);
+                        if self.chaos.is_some() {
+                            let sandboxed = self.hfi.enabled();
+                            self.chaos_observe(ArchEvent::Mem {
+                                pc: byte_pc,
+                                addr: ea,
+                                size: uop.size,
+                                access: Access::Read,
+                                hmov: Some(uop.region),
+                                sandboxed,
+                            });
+                        }
+                    }
+                    Err(f) => return self.fault_exit(f, pc),
+                }
+            }
+            OpClass::HmovStore => {
+                self.cycles += self.weights.mem;
+                self.stats.mem_ops += 1;
+                self.stats.hfi_checks += 1;
+                let mut index = self.slot(uop.srcs[1]) as i64;
+                let mut skip = false;
+                if let Some(hook) = self.chaos.as_deref_mut() {
+                    index = hook.perturb_ea(byte_pc, index as u64) as i64;
+                    skip = hook.skip_guard(byte_pc);
+                }
+                let resolved = match self.hfi.hmov_check_access(
+                    uop.region,
+                    index,
+                    uop.scale as u64,
+                    uop.imm,
+                    uop.size as u64,
+                    Access::Write,
+                ) {
+                    Ok(ea) => Ok(ea),
+                    Err(f) => match self.hfi.hmov_unchecked_ea(
+                        uop.region,
+                        index,
+                        uop.scale as u64,
+                        uop.imm,
+                    ) {
+                        Some(ea) if skip => Ok(ea),
+                        _ => Err(f),
+                    },
+                };
+                match resolved {
+                    Ok(ea) => {
+                        self.mem.write(ea, self.slot(uop.srcs[2]), uop.size);
+                        if self.chaos.is_some() {
+                            let sandboxed = self.hfi.enabled();
+                            self.chaos_observe(ArchEvent::Mem {
+                                pc: byte_pc,
+                                addr: ea,
+                                size: uop.size,
+                                access: Access::Write,
+                                hmov: Some(uop.region),
+                                sandboxed,
+                            });
+                        }
+                    }
+                    Err(f) => return self.fault_exit(f, pc),
+                }
+            }
+            OpClass::Branch => {
+                self.cycles += self.weights.branch;
+                self.stats.branches += 1;
+                if uop
+                    .cond
+                    .eval(self.slot(uop.srcs[0]), self.slot(uop.srcs[1]))
+                {
+                    next = uop.target as usize;
+                }
+            }
+            OpClass::BranchI => {
+                self.cycles += self.weights.branch;
+                self.stats.branches += 1;
+                if uop.cond.eval(self.slot(uop.srcs[0]), uop.imm as u64) {
+                    next = uop.target as usize;
+                }
+            }
+            OpClass::Jump => {
+                self.cycles += self.weights.control;
+                next = uop.target as usize;
+            }
+            OpClass::JumpInd => {
+                self.cycles += self.weights.control;
+                self.stats.branches += 1;
+                let target_pc = self.slot(uop.srcs[0]);
+                next = match program.index_of_pc(target_pc) {
+                    Some(idx) => idx,
+                    None => {
+                        let fault = match self.hfi.check_fetch(target_pc, 1) {
+                            Err(fault) => fault,
+                            Ok(()) => HfiFault::Hardware { addr: target_pc },
+                        };
+                        return self.fault_exit(fault, pc);
+                    }
+                };
+            }
+            OpClass::Call => {
+                self.cycles += self.weights.control;
+                self.call_stack.push(pc + 1);
+                next = uop.target as usize;
+            }
+            OpClass::Ret => {
+                self.cycles += self.weights.control;
+                next = match self.call_stack.pop() {
+                    Some(idx) => idx,
+                    None => return StepExit::Stop(Stop::Halted),
+                };
+            }
+            OpClass::Syscall => {
+                let number = self.regs[0];
+                self.cycles += self.costs.syscall_check_cycles as f64;
+                match self.hfi.syscall(number, SyscallKind::Syscall) {
+                    SyscallDisposition::Redirect(handler) => {
+                        self.stats.syscalls_redirected += 1;
+                        if pc + 1 < plan.len() {
+                            self.regs[14] = plan.pc(pc + 1);
+                        }
+                        next = match program.index_of_pc(handler) {
+                            Some(idx) => idx,
+                            None => {
+                                return StepExit::Stop(Stop::Fault(HfiFault::Hardware {
+                                    addr: handler,
+                                }));
+                            }
+                        };
+                    }
+                    SyscallDisposition::Allow => {
+                        self.stats.syscalls_to_os += 1;
+                        let outcome: SyscallOutcome =
+                            self.os.syscall(number, &mut self.regs, &mut self.mem);
+                        self.cycles += self.costs.syscall_roundtrip_cycles as f64
+                            + outcome.extra_cycles as f64;
+                        self.regs[0] = outcome.ret;
+                        if outcome.exit {
+                            return StepExit::Stop(Stop::Exited { code: self.regs[1] });
+                        }
+                    }
+                    SyscallDisposition::Fault => {
+                        return self.fault_exit(HfiFault::PrivilegedInstruction, pc);
+                    }
+                }
+            }
+            OpClass::Cpuid => {
+                self.stats.serializations += 1;
+                self.cycles += self.costs.serialize_cycles as f64;
+            }
+            OpClass::Fence => {
+                self.cycles += 2.0;
+            }
+            OpClass::Flush => {
+                self.cycles += 3.0;
+            }
+            OpClass::HfiEnter => {
+                let Inst::HfiEnter { config } = program.inst(pc) else {
+                    unreachable!("plan class HfiEnter lowered from HfiEnter");
+                };
+                // Entry assertion: re-validate the springboard's
+                // contract against the architectural register file
+                // before the sandbox starts (free — the compares
+                // overlap the enter microcode). This is the
+                // fail-closed backstop for transition corruption.
+                if let Some(contract) = program.contract() {
+                    let mut skip = false;
+                    if let Some(hook) = self.chaos.as_deref_mut() {
+                        skip = hook.skip_transition_check(byte_pc);
+                    }
+                    if !skip {
+                        if let Some(reg) = contract.first_violation(&self.regs) {
+                            return self.fault_exit(HfiFault::TransitionContract { reg }, pc);
+                        }
+                    }
+                }
+                self.cycles += self.costs.enter_exit_base_cycles as f64;
+                match self.hfi.enter(*config) {
+                    Ok(effect) => {
+                        if effect == hfi_core::SerializationEffect::Serialize {
+                            self.stats.serializations += 1;
+                            self.cycles += self.costs.serialize_cycles as f64;
+                        }
+                    }
+                    Err(f) => return self.fault_exit(f, pc),
+                }
+            }
+            OpClass::HfiEnterChild => {
+                let Inst::HfiEnterChild { config, regions } = program.inst(pc) else {
+                    unreachable!("plan class HfiEnterChild lowered from HfiEnterChild");
+                };
+                self.cycles +=
+                    (self.costs.enter_exit_base_cycles + self.costs.set_region_cycles) as f64;
+                match self.hfi.enter_child(*config, **regions) {
+                    Ok(effect) => {
+                        if effect == hfi_core::SerializationEffect::Serialize {
+                            self.stats.serializations += 1;
+                            self.cycles += self.costs.serialize_cycles as f64;
+                        }
+                    }
+                    Err(f) => return self.fault_exit(f, pc),
+                }
+            }
+            OpClass::HfiExit => {
+                self.cycles += self.costs.enter_exit_base_cycles as f64;
+                match self.hfi.exit() {
+                    Ok((disposition, effect)) => {
+                        if effect == hfi_core::SerializationEffect::Serialize {
+                            self.stats.serializations += 1;
+                            self.cycles += self.costs.serialize_cycles as f64;
+                        }
+                        if let ExitDisposition::JumpToHandler(handler) = disposition {
+                            next = match program.index_of_pc(handler) {
+                                Some(idx) => idx,
+                                None => {
+                                    return StepExit::Stop(Stop::Fault(HfiFault::Hardware {
+                                        addr: handler,
+                                    }));
+                                }
+                            };
+                        }
+                    }
+                    Err(f) => return self.fault_exit(f, pc),
+                }
+            }
+            OpClass::HfiReenter => {
+                self.cycles += self.costs.enter_exit_base_cycles as f64;
+                if let Err(f) = self.hfi.reenter() {
+                    return self.fault_exit(f, pc);
+                }
+            }
+            OpClass::HfiSetRegion => {
+                let Inst::HfiSetRegion { slot, region } = program.inst(pc) else {
+                    unreachable!("plan class HfiSetRegion lowered from HfiSetRegion");
+                };
+                self.cycles += self.costs.set_region_cycles as f64;
+                match self.hfi.set_region(*slot as usize, *region) {
+                    Ok(effect) => {
+                        if effect == hfi_core::SerializationEffect::Serialize {
+                            self.stats.serializations += 1;
+                            self.cycles += self.costs.serialize_cycles as f64;
+                        }
+                    }
+                    Err(f) => return self.fault_exit(f, pc),
+                }
+            }
+            OpClass::HfiClearRegion => {
+                self.cycles += 1.0;
+                if let Err(f) = self.hfi.clear_region(uop.region as usize) {
+                    return self.fault_exit(f, pc);
+                }
+            }
+            OpClass::HfiClearAllRegions => {
+                self.cycles += 1.0;
+                if let Err(f) = self.hfi.clear_all_regions() {
+                    return self.fault_exit(f, pc);
+                }
+            }
+            OpClass::Nop => {
+                self.cycles += self.weights.alu;
+            }
+            OpClass::Halt => return StepExit::Stop(Stop::Halted),
         }
-        StepExit::Next(end)
+        StepExit::Next(next)
     }
 
-    /// `HfiSeq` / `Step` superop: drive the reference [`Functional::step`]
-    /// routine op by op. A step that redirects control (branch, fault
-    /// handler) exits the run early and the caller re-dispatches.
-    fn sop_step_run(
-        &mut self,
-        start: usize,
-        end: usize,
-        budget: &mut u64,
-        plan: &DecodedProgram,
-        program: &Arc<Program>,
-    ) -> StepExit {
-        let mut pc = start;
-        while pc < end {
-            if *budget == 0 {
-                return StepExit::Next(pc);
-            }
-            *budget -= 1;
-            match self.step(pc, plan, program) {
-                StepExit::Next(next) if next == pc + 1 => pc = next,
-                other => return other,
-            }
+    fn result_with(&self, stop: Stop) -> FunctionalResult {
+        FunctionalResult {
+            cycles: self.cycles,
+            stop,
+            stats: self.stats,
+            regs: self.regs,
         }
-        StepExit::Next(end)
     }
 
     fn weight_of(&self, op: AluOp) -> f64 {
@@ -1278,41 +992,32 @@ mod tests {
     }
 
     #[test]
-    fn fuel_hook_cancels_a_runaway_loop_on_both_tiers() {
+    fn fuel_hook_cancels_a_runaway_loop() {
         // An infinite loop: without fuel it runs to the budget; with a
         // tripped fuel predicate it stops early, still as CycleLimit.
-        let looped = {
-            let mut asm = ProgramBuilder::new(0x1000);
-            asm.movi(Reg(0), 0);
-            let top = asm.label();
-            asm.place(top);
-            asm.alu_ri(AluOp::Add, Reg(0), Reg(0), 1);
-            asm.jump(top);
-            asm.halt();
-            Arc::new(asm.finish())
-        };
-        for fused in [false, true] {
-            let mut f = if fused {
-                Functional::new_fused(Arc::clone(&looped))
-            } else {
-                Functional::new(Arc::clone(&looped))
-            };
-            let mut polls = 0u64;
-            f.set_fuel(
-                64,
-                Box::new(move || {
-                    polls += 1;
-                    polls < 4
-                }),
-            );
-            let result = f.run(1_000_000);
-            assert_eq!(result.stop, Stop::CycleLimit, "fused={fused}");
-            assert!(
-                result.stats.retired < 1_000_000,
-                "fused={fused}: cancellation must beat the budget (retired {})",
-                result.stats.retired
-            );
-        }
+        let mut asm = ProgramBuilder::new(0x1000);
+        asm.movi(Reg(0), 0);
+        let top = asm.label();
+        asm.place(top);
+        asm.alu_ri(AluOp::Add, Reg(0), Reg(0), 1);
+        asm.jump(top);
+        asm.halt();
+        let mut f = Functional::new(asm.finish());
+        let mut polls = 0u64;
+        f.set_fuel(
+            64,
+            Box::new(move || {
+                polls += 1;
+                polls < 4
+            }),
+        );
+        let result = f.run(1_000_000);
+        assert_eq!(result.stop, Stop::CycleLimit);
+        assert_eq!(
+            result.stats.retired,
+            4 * 64 - 1,
+            "the fourth poll, before instruction 256, must cancel the run"
+        );
     }
 
     #[test]
@@ -1325,21 +1030,11 @@ mod tests {
             asm.halt();
             Arc::new(asm.finish())
         };
-        for fused in [false, true] {
-            let mut plain = if fused {
-                Functional::new_fused(Arc::clone(&program))
-            } else {
-                Functional::new(Arc::clone(&program))
-            };
-            let baseline = plain.run(1000);
-            let mut fueled = if fused {
-                Functional::new_fused(Arc::clone(&program))
-            } else {
-                Functional::new(Arc::clone(&program))
-            };
-            fueled.set_fuel(1, Box::new(|| true));
-            let observed = fueled.run(1000);
-            assert_eq!(baseline, observed, "fused={fused}");
+        let baseline = Functional::new(Arc::clone(&program)).run(1000);
+        for period in [1, 2, 3, 4096] {
+            let mut fueled = Functional::new(Arc::clone(&program));
+            fueled.set_fuel(period, Box::new(|| true));
+            assert_eq!(baseline, fueled.run(1000), "period {period}");
         }
     }
 

@@ -5,6 +5,8 @@ use std::collections::HashMap;
 
 const PAGE_BITS: u32 = 12;
 const PAGE_SIZE: u64 = 1 << PAGE_BITS;
+/// Entries of the direct-mapped translation cache (a power of two).
+const CACHED_PAGES: usize = 16;
 
 /// A sparse 64-bit byte-addressable memory.
 ///
@@ -12,17 +14,18 @@ const PAGE_SIZE: u64 = 1 << PAGE_BITS;
 /// memory return zero, like anonymous mmap.
 ///
 /// The page table maps page number to a slot in flat page storage, with
-/// a one-entry translation cache in front: workload accesses are heavily
-/// page-local, so most reads and writes skip the `HashMap` entirely, and
-/// a non-page-crossing access touches its page once instead of once per
-/// byte.
+/// a small direct-mapped translation cache in front: a kernel's working
+/// set is a handful of pages (code data, heap, stack), so most reads and
+/// writes skip the `HashMap` entirely, and a non-page-crossing access
+/// touches its page once instead of once per byte.
 #[derive(Debug, Default, Clone)]
 pub struct SparseMemory {
     page_table: HashMap<u64, u32>,
     storage: Vec<Box<[u8]>>,
-    /// Most recently resolved (page number, storage slot). Slots are
-    /// stable (pages are never freed), so the entry never goes stale.
-    last: Cell<Option<(u64, u32)>>,
+    /// Recently resolved pages: entry `page_no % CACHED_PAGES` holds
+    /// `(page_no + 1, storage slot)`, and a zero tag is empty. Slots are
+    /// stable (pages are never freed), so an entry never goes stale.
+    cached: [Cell<(u64, u32)>; CACHED_PAGES],
 }
 
 impl SparseMemory {
@@ -32,23 +35,27 @@ impl SparseMemory {
     }
 
     #[inline]
+    fn cache_entry(&self, page_no: u64) -> &Cell<(u64, u32)> {
+        &self.cached[page_no as usize % CACHED_PAGES]
+    }
+
+    #[inline]
     fn slot_of(&self, page_no: u64) -> Option<u32> {
-        if let Some((cached_no, slot)) = self.last.get() {
-            if cached_no == page_no {
-                return Some(slot);
-            }
+        let entry = self.cache_entry(page_no);
+        let (tag, slot) = entry.get();
+        if tag == page_no + 1 {
+            return Some(slot);
         }
         let slot = *self.page_table.get(&page_no)?;
-        self.last.set(Some((page_no, slot)));
+        entry.set((page_no + 1, slot));
         Some(slot)
     }
 
     #[inline]
     fn slot_mut(&mut self, page_no: u64) -> u32 {
-        if let Some((cached_no, slot)) = self.last.get() {
-            if cached_no == page_no {
-                return slot;
-            }
+        let (tag, slot) = self.cache_entry(page_no).get();
+        if tag == page_no + 1 {
+            return slot;
         }
         let slot = match self.page_table.get(&page_no) {
             Some(&slot) => slot,
@@ -60,7 +67,7 @@ impl SparseMemory {
                 slot
             }
         };
-        self.last.set(Some((page_no, slot)));
+        self.cache_entry(page_no).set((page_no + 1, slot));
         slot
     }
 
@@ -114,10 +121,15 @@ impl SparseMemory {
         }
     }
 
-    /// Bulk-initializes memory from a byte slice.
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, b);
+    /// Bulk-initializes memory from a byte slice, one page at a time.
+    pub fn write_bytes(&mut self, mut addr: u64, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let offset = (addr & (PAGE_SIZE - 1)) as usize;
+            let n = bytes.len().min(PAGE_SIZE as usize - offset);
+            let slot = self.slot_mut(addr >> PAGE_BITS);
+            self.storage[slot as usize][offset..offset + n].copy_from_slice(&bytes[..n]);
+            addr = addr.wrapping_add(n as u64);
+            bytes = &bytes[n..];
         }
     }
 
@@ -161,9 +173,41 @@ mod tests {
     }
 
     #[test]
+    fn colliding_cache_entries_keep_pages_apart() {
+        // Pages 16 apart share a cache entry; page 0 shares the empty
+        // tag's slot 0.
+        let mut mem = SparseMemory::new();
+        let pages: Vec<u64> = (0..4u64)
+            .map(|i| i * CACHED_PAGES as u64 * PAGE_SIZE)
+            .collect();
+        for round in 0..3u64 {
+            for (i, &base) in pages.iter().enumerate() {
+                let before = if round == 0 {
+                    0
+                } else {
+                    (round - 1) * 10 + i as u64
+                };
+                assert_eq!(mem.read(base + 8, 8), before);
+                mem.write(base + 8, round * 10 + i as u64, 8);
+                assert_eq!(
+                    mem.read(base + 8 + PAGE_SIZE, 8),
+                    0,
+                    "neighbour stays untouched"
+                );
+            }
+        }
+        assert_eq!(mem.touched_pages(), pages.len());
+    }
+
+    #[test]
     fn bulk_bytes() {
         let mut mem = SparseMemory::new();
         mem.write_bytes(0x2000, b"hello");
         assert_eq!(mem.read_bytes(0x2000, 5), b"hello");
+        // Across two page boundaries.
+        let image: Vec<u8> = (0..2 * PAGE_SIZE as usize + 10).map(|i| i as u8).collect();
+        mem.write_bytes(0x5000 - 3, &image);
+        assert_eq!(mem.read_bytes(0x5000 - 3, image.len()), image);
+        assert_eq!(mem.touched_pages(), 1 + 4);
     }
 }

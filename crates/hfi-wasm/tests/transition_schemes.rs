@@ -93,11 +93,6 @@ fn schemes_agree_across_all_three_tiers() {
             r.regs[RESULT_REG.0 as usize], expected,
             "{scheme:?} functional"
         );
-
-        let mut fused = Functional::new_fused(compiled.program.clone());
-        let r = fused.run(10_000_000);
-        assert_eq!(r.stop, Stop::Halted, "{scheme:?} fused tier did not halt");
-        assert_eq!(r.regs[RESULT_REG.0 as usize], expected, "{scheme:?} fused");
     }
 }
 

@@ -1,21 +1,26 @@
-//! Chaos reachability under superinstruction fusion.
+//! Chaos reachability under the block fast path.
 //!
-//! Fusing micro-op runs into superinstructions must not optimize away a
-//! single fault-injection site: the chaos seam's contract is that any
-//! installed [`ChaosHook`](hfi_sim::ChaosHook) forces the fused engine
-//! back onto the fully-observed per-op reference path, so every
-//! perturbable site (EA computations, result writebacks, guard
-//! micro-ops, instruction boundaries) is visited exactly as on the
-//! unfused tier. These tests prove that contract from the outside:
+//! The functional engine's fast path fuses a basic block's per-op
+//! bookkeeping (fetch check, retired and check counters, fuel countdown)
+//! into one step per block. That must not optimize away a single
+//! fault-injection site: the chaos seam's contract is that any installed
+//! [`ChaosHook`](hfi_sim::ChaosHook) keeps every block off the fast path,
+//! so every perturbable site (EA computations, result writebacks, guard
+//! micro-ops, instruction boundaries) is visited exactly as on the per-op
+//! reference path. "Fused" in the test names below means a block that
+//! qualifies for the fast path. These tests prove the contract from the
+//! outside:
 //!
-//! * the sandboxed workload really does fuse (its plan contains
-//!   multi-op `GuardedAccess` and `HmovChain` superinstructions), so
-//!   the sites below genuinely live *inside* fused sequences;
-//! * site counts are identical across tiers for every site kind;
-//! * every functional-tier [`FaultClass`] still fires on the fused
-//!   tier and never produces an escape;
+//! * the sandboxed workload really does fuse (its hot loop is one
+//!   fast-path block holding implicit accesses, `hmov` accesses and ALU
+//!   ops), so the sites below genuinely live *inside* fused blocks;
+//! * site counts are identical whether the engine may take the fast
+//!   path or is held per op by a period-1 fuel hook, and an observed run
+//!   is bit-identical to an unobserved one;
+//! * every functional-tier [`FaultClass`] still fires on a fast-path
+//!   capable engine and never produces an escape;
 //! * the deliberately-weakened build still produces a *visible* escape
-//!   on the fused tier — the oracle did not go blind under fusion.
+//!   there — the oracle did not go blind.
 
 use std::sync::Arc;
 
@@ -26,8 +31,8 @@ use hfi_core::region::{ExplicitDataRegion, ImplicitCodeRegion, ImplicitDataRegio
 use hfi_core::{Region, SandboxConfig};
 use hfi_sim::isa::MemOperand;
 use hfi_sim::{
-    fused_plan_of, AluOp, Cond, Functional, HmovOperand, Program, ProgramBuilder, Reg, Stop,
-    SuperOpKind,
+    plan_of, AluOp, Cond, Functional, FunctionalResult, HmovOperand, OpClass, Program,
+    ProgramBuilder, Reg, Stop,
 };
 use hfi_verify::SandboxSpec;
 
@@ -35,17 +40,18 @@ const CODE_BASE: u64 = 0x40_0000;
 const DATA_BASE: u64 = 0x10_0000;
 const HEAP_BASE: u64 = 0x100_0000;
 
-/// A sandboxed workload whose hot loop is built from fusable runs:
-/// back-to-back implicitly-checked stores/loads (a `GuardedAccess` run),
-/// back-to-back `hmov` accesses (an `HmovChain`), ALU traffic, and a
-/// compare+branch loop tail.
+/// A sandboxed workload whose hot loop is one fast-path block:
+/// back-to-back implicitly-checked stores/loads, back-to-back `hmov`
+/// accesses, ALU traffic, and a compare+branch loop tail. The springboard
+/// and sandbox setup sit in a block with HFI-state-mutating ops, which
+/// always runs per op.
 fn fused_workload() -> Arc<Program> {
     let mut asm = ProgramBuilder::new(CODE_BASE);
     let code = ImplicitCodeRegion::new(CODE_BASE, 0xFFFF, true).unwrap();
     let data = ImplicitDataRegion::new(DATA_BASE, 0xFFFF, true, true).unwrap();
     let heap = ExplicitDataRegion::large(HEAP_BASE, 1 << 16, true, true).unwrap();
     // Springboard: marked zeroing ops feeding a declared entry contract,
-    // so transition-corrupt sites live inside the fused `HfiSeq` prologue.
+    // so the workload has transition-corrupt sites.
     for r in [6u8, 7, 8] {
         asm.movi(Reg(r), 0);
         asm.mark_last_transition();
@@ -62,13 +68,13 @@ fn fused_workload() -> Arc<Program> {
     asm.movi(Reg(1), 12);
     asm.movi(Reg(2), DATA_BASE as i64);
     let top = asm.label_here("top");
-    // Guarded-access run: four consecutive implicit accesses.
+    // Four consecutive implicit accesses.
     asm.store(Reg(1), MemOperand::base_disp(Reg(2), 0x40), 8);
     asm.store(Reg(0), MemOperand::base_disp(Reg(2), 0x48), 8);
     asm.load(Reg(3), MemOperand::base_disp(Reg(2), 0x40), 8);
     asm.load(Reg(4), MemOperand::base_disp(Reg(2), 0x48), 8);
     asm.alu(AluOp::Add, Reg(0), Reg(0), Reg(3));
-    // Hmov chain: three consecutive explicit accesses.
+    // Three consecutive explicit accesses.
     asm.hmov_store(0, Reg(0), HmovOperand::disp(0x80), 8);
     asm.hmov_store(0, Reg(3), HmovOperand::disp(0x88), 8);
     asm.hmov_load(0, Reg(5), HmovOperand::disp(0x80), 8);
@@ -89,11 +95,18 @@ fn spec() -> SandboxSpec {
         )
 }
 
-fn run_tier(fused: bool, hook: Box<dyn hfi_sim::ChaosHook>) -> Stop {
+/// Runs the workload under `hook`. With `fast` the engine is free to
+/// take the block fast path wherever its conditions hold; without it a
+/// never-firing period-1 fuel hook holds every op on the per-op path.
+fn run_tier(fast: bool, hook: Option<Box<dyn hfi_sim::ChaosHook>>) -> FunctionalResult {
     let mut functional = Functional::new(fused_workload());
-    functional.set_fused(fused);
-    functional.set_chaos(hook);
-    functional.run(1_000_000).stop
+    if !fast {
+        functional.set_fuel(1, Box::new(|| true));
+    }
+    if let Some(hook) = hook {
+        functional.set_chaos(hook);
+    }
+    functional.run(1_000_000)
 }
 
 /// The functional-tier fault classes: the two wrong-path classes only
@@ -109,62 +122,89 @@ const FUNCTIONAL_CLASSES: [FaultClass; 5] = [
 #[test]
 fn workload_actually_fuses_its_injection_sites() {
     let program = fused_workload();
-    let fused = fused_plan_of(&program);
-    let mut guarded_run = 0u32;
-    let mut hmov_chain = 0u32;
-    let mut alu_run = 0u32;
-    let mut hfi_seq = 0u32;
-    for sop in fused.sops() {
-        match sop.kind {
-            SuperOpKind::GuardedAccess if sop.count > 1 => guarded_run += 1,
-            SuperOpKind::HmovChain if sop.count > 1 => hmov_chain += 1,
-            SuperOpKind::AluRun if sop.count > 1 => alu_run += 1,
-            SuperOpKind::HfiSeq if sop.count > 1 => hfi_seq += 1,
-            _ => {}
+    let plan = plan_of(&program);
+    let mut implicit = 0u32;
+    let mut hmov = 0u32;
+    let mut alu = 0u32;
+    let mut hfi_blocks = 0u32;
+    for block in plan.blocks() {
+        let ops = &plan.ops()[block.start as usize..block.end as usize];
+        let mutates_hfi = ops.iter().any(|op| {
+            matches!(
+                op.class,
+                OpClass::HfiEnter | OpClass::HfiSetRegion | OpClass::HfiExit
+            )
+        });
+        if mutates_hfi {
+            hfi_blocks += 1;
+            assert!(!block.fast, "a block mutating HFI state is marked fast");
+            continue;
+        }
+        if !block.fast {
+            continue;
+        }
+        for op in ops {
+            match op.class {
+                OpClass::Load | OpClass::Store => implicit += 1,
+                OpClass::HmovLoad | OpClass::HmovStore => hmov += 1,
+                OpClass::AluRR | OpClass::AluRI => alu += 1,
+                _ => {}
+            }
         }
     }
-    assert!(guarded_run > 0, "no multi-op GuardedAccess superop");
-    assert!(hmov_chain > 0, "no multi-op HmovChain superop");
-    assert!(alu_run > 0, "no multi-op AluRun superop");
+    assert!(implicit >= 4, "implicit accesses outside fast blocks");
+    assert!(hmov >= 3, "hmov accesses outside fast blocks");
+    assert!(alu >= 2, "ALU ops outside fast blocks");
     assert!(
-        hfi_seq > 0,
-        "springboard + enter did not fuse into a multi-op HfiSeq"
+        hfi_blocks > 0,
+        "springboard + enter did not land in an HFI-mutating block"
     );
+    // The code region granted by the sandbox covers every fused block,
+    // so an unobserved run is free to take the fast path through them.
+    assert_eq!(run_tier(true, None).stop, Stop::Halted);
 }
 
 #[test]
 fn every_injection_site_survives_fusion() {
-    let count_sites = |fused: bool| {
+    let count_sites = |fast: bool| {
         let counter = SiteCounter::new();
         let monitor = ShadowMonitor::from_spec(&spec());
-        let stop = run_tier(fused, Box::new(Rig::new(counter.clone(), monitor.clone())));
-        assert_eq!(stop, Stop::Halted);
+        let result = run_tier(
+            fast,
+            Some(Box::new(Rig::new(counter.clone(), monitor.clone()))),
+        );
+        assert_eq!(result.stop, Stop::Halted);
         assert!(monitor.report().clean());
-        counter.counts()
+        (counter.counts(), result)
     };
-    let unfused = count_sites(false);
-    let fused = count_sites(true);
+    let (per_op, _) = count_sites(false);
+    let (fast, observed) = count_sites(true);
     assert_eq!(
-        unfused, fused,
-        "fusion changed the set of reachable injection sites"
+        per_op, fast,
+        "the fast path changed the set of reachable injection sites"
     );
-    assert!(unfused.ea > 0, "no EA sites in the workload");
-    assert!(unfused.result > 0, "no writeback sites in the workload");
-    assert!(unfused.guard > 0, "no guard sites in the workload");
-    assert!(unfused.context > 0, "no boundary sites in the workload");
-    assert!(
-        unfused.transition > 0,
-        "no transition sites in the workload"
-    );
+    assert!(per_op.ea > 0, "no EA sites in the workload");
+    assert!(per_op.result > 0, "no writeback sites in the workload");
+    assert!(per_op.guard > 0, "no guard sites in the workload");
+    assert!(per_op.context > 0, "no boundary sites in the workload");
+    assert!(per_op.transition > 0, "no transition sites in the workload");
+    // Observing every site leaves the run bit-identical to the
+    // unobserved one, which runs its fused blocks on the fast path.
+    let plain = run_tier(true, None);
+    assert_eq!(plain, observed, "observation changed the run");
+    assert_eq!(plain.cycles.to_bits(), observed.cycles.to_bits());
 }
 
 #[test]
 fn every_functional_fault_class_still_fires_and_never_escapes_when_fused() {
-    // Site counts per class, measured once on the fused tier.
+    // Site counts per class, measured once on the fast-path capable engine.
     let counter = SiteCounter::new();
     run_tier(
         true,
-        Box::new(Rig::new(counter.clone(), ShadowMonitor::from_spec(&spec()))),
+        Some(Box::new(Rig::new(
+            counter.clone(),
+            ShadowMonitor::from_spec(&spec()),
+        ))),
     );
     let counts = counter.counts();
     for class in FUNCTIONAL_CLASSES {
@@ -180,18 +220,24 @@ fn every_functional_fault_class_still_fires_and_never_escapes_when_fused() {
                 trigger,
             });
             let monitor = ShadowMonitor::from_spec(&spec());
-            run_tier(true, Box::new(Rig::new(engine.clone(), monitor.clone())));
+            run_tier(
+                true,
+                Some(Box::new(Rig::new(engine.clone(), monitor.clone()))),
+            );
             if engine.fired().is_some() {
                 fired += 1;
             }
             let verdict = classify(&monitor.report(), false);
             assert!(
                 !verdict.is_escape(),
-                "{class} trigger {trigger}: ESCAPE on the fused tier after {:?}",
+                "{class} trigger {trigger}: ESCAPE on the fast-path engine after {:?}",
                 engine.fired()
             );
         }
-        assert!(fired > 0, "{class}: no injection ever fired under fusion");
+        assert!(
+            fired > 0,
+            "{class}: no injection ever fired on fused blocks"
+        );
     }
 }
 
@@ -200,27 +246,30 @@ fn injected_verdicts_are_identical_across_tiers() {
     let counter = SiteCounter::new();
     run_tier(
         false,
-        Box::new(Rig::new(counter.clone(), ShadowMonitor::from_spec(&spec()))),
+        Some(Box::new(Rig::new(
+            counter.clone(),
+            ShadowMonitor::from_spec(&spec()),
+        ))),
     );
     let counts = counter.counts();
     for class in FUNCTIONAL_CLASSES {
         let sites = counts.for_class(class);
         let step = (sites / 6).max(1);
         for trigger in (0..sites).step_by(step as usize) {
-            let verdict_of = |fused: bool| {
+            let verdict_of = |fast: bool| {
                 let engine = ChaosEngine::new(ChaosPlan {
                     seed: 0xD1FF ^ trigger,
                     class,
                     trigger,
                 });
                 let monitor = ShadowMonitor::from_spec(&spec());
-                run_tier(fused, Box::new(Rig::new(engine, monitor.clone())));
+                run_tier(fast, Some(Box::new(Rig::new(engine, monitor.clone()))));
                 classify(&monitor.report(), false)
             };
             assert_eq!(
                 verdict_of(false),
                 verdict_of(true),
-                "{class} trigger {trigger}: tiers disagree on the verdict"
+                "{class} trigger {trigger}: per-op and fast-path engines disagree on the verdict"
             );
         }
     }
@@ -231,7 +280,10 @@ fn weakened_build_still_escapes_on_the_fused_tier() {
     let counter = SiteCounter::new();
     run_tier(
         true,
-        Box::new(Rig::new(counter.clone(), ShadowMonitor::from_spec(&spec()))),
+        Some(Box::new(Rig::new(
+            counter.clone(),
+            ShadowMonitor::from_spec(&spec()),
+        ))),
     );
     let sites = counter.counts().ea;
     let mut escaped = false;
@@ -244,7 +296,7 @@ fn weakened_build_still_escapes_on_the_fused_tier() {
             });
             let weakened = WeakenedEngine::new(engine);
             let monitor = ShadowMonitor::from_spec(&spec());
-            run_tier(true, Box::new(Rig::new(weakened, monitor.clone())));
+            run_tier(true, Some(Box::new(Rig::new(weakened, monitor.clone()))));
             if classify(&monitor.report(), false).is_escape() {
                 escaped = true;
                 break 'search;
@@ -253,6 +305,6 @@ fn weakened_build_still_escapes_on_the_fused_tier() {
     }
     assert!(
         escaped,
-        "the oracle never reported an escape on the weakened fused tier"
+        "the oracle never reported an escape on the weakened fast-path engine"
     );
 }

@@ -24,7 +24,7 @@
 
 use std::fmt::Write as _;
 
-use hfi_bench::{run_emulated, run_functional_record, run_fused_record, run_on_machine};
+use hfi_bench::{run_emulated, run_on_machine};
 use hfi_native::syscalls::{run_benchmark, Interposition};
 use hfi_sim::RunRecord;
 use hfi_wasm::compiler::Isolation;
@@ -129,40 +129,6 @@ fn collect_counters() -> String {
     }
 
     out
-}
-
-/// Fused-vs-unfused differential over the same Fig. 3 smoke grid: the
-/// block-threaded superinstruction tier must reproduce the reference
-/// functional tier's full architectural counter surface — cycles,
-/// retired, branches, serializations, HFI checks, faults, syscall
-/// routing — on every cell. The golden file pins the cycle core to the
-/// recorded seed; this test pins the fused tier to the functional
-/// reference at the same per-counter granularity (the serialized line
-/// format is shared so a divergence prints exactly which counter moved).
-#[test]
-fn fused_tier_matches_functional_reference_on_fig3_grid() {
-    let kernels = {
-        let mut suite = speclike::suite(1);
-        suite.truncate(3);
-        suite
-    };
-    let schemes = [
-        Isolation::GuardPages,
-        Isolation::BoundsChecks,
-        Isolation::Hfi,
-    ];
-    for kernel in &kernels {
-        for isolation in schemes {
-            let label = format!("fig3-fused/{}/{:?}", kernel.name, isolation);
-            let unfused = run_functional_record(kernel, isolation);
-            let fused = run_fused_record(kernel, isolation);
-            assert_eq!(
-                record_line(&label, &unfused),
-                record_line(&label, &fused),
-                "{label}: fused tier diverged from the functional reference"
-            );
-        }
-    }
 }
 
 #[test]

@@ -1,25 +1,27 @@
 //! Differential testing for the pre-decode layer: a [`DecodedProgram`]
 //! must agree, static fact by static fact, with a fresh per-[`Inst`]
-//! derivation — and a plan-driven run must remain architecturally
-//! identical between the functional interpreter and the cycle machine.
+//! derivation; the functional engine's block fast path must agree bit
+//! for bit with its per-op reference path; and a plan-driven run must
+//! remain architecturally identical between the functional interpreter
+//! and the cycle machine.
 //!
 //! The plan (`hfi_sim::plan`) is a pure lowering: every field of a
 //! [`MicroOp`] is derivable from one instruction's encoding alone. These
 //! tests re-derive each fact independently (encoded length, memory and
 //! control classification, serialization class, operand slots, branch
 //! targets) on random programs and compare, then check the basic-block
-//! table's structural invariants, then run random halting programs on
-//! both executors. Cases come from the vendored deterministic PRNG, so
+//! table's structural invariants, then run random and hand-built
+//! programs on every functional path and on both executors. Cases come from the vendored deterministic PRNG, so
 //! every failure reproduces exactly.
 
 use std::sync::Arc;
 
-use hfi_repro::hfi_core::region::ExplicitDataRegion;
-use hfi_repro::hfi_core::{Region, SandboxConfig};
+use hfi_repro::hfi_core::region::{ExplicitDataRegion, ImplicitCodeRegion};
+use hfi_repro::hfi_core::{HfiFault, Region, SandboxConfig};
 use hfi_repro::hfi_sim::plan::{NO_REG, NO_TARGET};
 use hfi_repro::hfi_sim::{
-    plan_of, AluOp, Cond, Functional, FunctionalResult, HmovOperand, Inst, Machine, MemOperand,
-    MicroOp, Program, Reg, SerializeClass, Stop,
+    plan_of, AluOp, ChaosHook, Cond, Functional, FunctionalResult, HmovOperand, Inst, Machine,
+    MemOperand, MicroOp, Program, Reg, SerializeClass, Stop,
 };
 use hfi_repro::hfi_util::Rng;
 
@@ -531,165 +533,395 @@ fn random_guarded_runnable(rng: &mut Rng) -> Arc<Program> {
     Arc::new(Program::new(insts, CODE_BASE as u64))
 }
 
-/// Runs `program` on the requested functional tier with a deterministic
-/// setup and returns the full result plus the final contents of every
-/// memory window the program can touch.
-fn run_tier(program: &Arc<Program>, fused: bool, limit: u64) -> (FunctionalResult, Vec<u8>) {
+/// One way to drive the functional engine over the same program. The
+/// block fast path is chosen from engine state alone, so each mode
+/// steers it differently: `Plain` takes it wherever a block fits, a
+/// never-firing fuel hook with period 1 forces every op through the
+/// per-op reference path, period 3 mixes the two (a block runs whole
+/// only when the countdown covers it), and a pass-through chaos hook
+/// forces the reference path with chaos observation on.
+#[derive(Debug, Clone, Copy)]
+enum Mode {
+    Plain,
+    Fuel(u64),
+    PassThroughChaos,
+}
+
+const MODES: [Mode; 4] = [
+    Mode::Plain,
+    Mode::Fuel(1),
+    Mode::Fuel(3),
+    Mode::PassThroughChaos,
+];
+
+/// A chaos hook that perturbs nothing.
+struct PassThrough;
+impl ChaosHook for PassThrough {}
+
+/// Runs `program` under `mode` with a deterministic setup and returns
+/// the full result plus the final contents of every memory window the
+/// program can touch.
+fn run_mode(
+    program: &Arc<Program>,
+    mode: Mode,
+    limit: u64,
+    handler: Option<u64>,
+) -> (FunctionalResult, Vec<u8>) {
     let mut functional = Functional::new(Arc::clone(program));
-    functional.set_fused(fused);
+    functional.signal_handler = handler;
+    match mode {
+        Mode::Plain => {}
+        Mode::Fuel(period) => functional.set_fuel(period, Box::new(|| true)),
+        Mode::PassThroughChaos => functional.set_chaos(Box::new(PassThrough)),
+    }
     let result = functional.run(limit);
     let mut image = functional.mem.read_bytes(0x2_0000, 0x1_0000);
     image.extend(functional.mem.read_bytes(0x10_0000, 0x1_0000));
     (result, image)
 }
 
+/// Runs `program` in every [`Mode`] and requires identical results:
+/// registers, counters, stop reason, memory, and modelled cycles down to
+/// the f64 bits. Returns the plain run's result.
+fn assert_modes_agree(
+    program: &Arc<Program>,
+    limit: u64,
+    handler: Option<u64>,
+    label: &str,
+) -> FunctionalResult {
+    let (reference, reference_mem) = run_mode(program, Mode::Plain, limit, handler);
+    for mode in &MODES[1..] {
+        let (result, mem) = run_mode(program, *mode, limit, handler);
+        assert_eq!(reference, result, "{label} {mode:?}: results diverged");
+        assert_eq!(
+            reference.cycles.to_bits(),
+            result.cycles.to_bits(),
+            "{label} {mode:?}: cycle bits diverged"
+        );
+        assert!(reference_mem == mem, "{label} {mode:?}: memory diverged");
+    }
+    reference
+}
+
 #[test]
-fn fused_and_unfused_agree_on_random_runnable_programs() {
+fn fast_path_agrees_with_reference_on_random_runnable_programs() {
     let mut rng = Rng::new(0xF05ED);
     for case in 0..48 {
         let program = random_runnable(&mut rng);
-        let (unfused, mem_unfused) = run_tier(&program, false, 50_000_000);
-        let (fused, mem_fused) = run_tier(&program, true, 50_000_000);
-        assert_eq!(unfused, fused, "case {case}: results diverged");
-        assert_eq!(mem_unfused, mem_fused, "case {case}: memory diverged");
+        // Small budgets stop runs mid-block.
+        let limit = if case % 4 == 0 {
+            rng.range_u64(1, 40)
+        } else {
+            50_000_000
+        };
+        assert_modes_agree(&program, limit, None, &format!("case {case}"));
     }
 }
 
 #[test]
-fn fused_and_unfused_agree_on_random_guarded_programs() {
+fn fast_path_agrees_with_reference_on_random_guarded_programs() {
     let mut rng = Rng::new(0x6A4DED);
     let mut faulted = 0u32;
     let mut halted = 0u32;
     for case in 0..96 {
         let program = random_guarded_runnable(&mut rng);
-        let (unfused, mem_unfused) = run_tier(&program, false, 200_000);
-        let (fused, mem_fused) = run_tier(&program, true, 200_000);
-        assert_eq!(unfused, fused, "case {case}: results diverged");
-        assert_eq!(mem_unfused, mem_fused, "case {case}: memory diverged");
-        match unfused.stop {
+        let result = assert_modes_agree(&program, 200_000, None, &format!("case {case}"));
+        match result.stop {
             Stop::Fault(_) => faulted += 1,
             Stop::Halted => halted += 1,
             _ => {}
         }
     }
-    // The corpus must actually exercise both the guarded fast paths and
+    // The corpus must actually exercise both the sandboxed fast path and
     // the fault paths, or the differential above proves nothing.
     assert!(halted > 0, "no guarded program ran to completion");
     assert!(faulted > 0, "no guarded program faulted");
 }
 
-/// Tier-crossing fault redirects: with a signal handler installed, a
-/// fault re-enters the program at the handler's instruction index — which
-/// is rarely a block leader, so the fused engine must take its mid-block
-/// entry path. Both tiers must agree on everything that follows.
+/// With a signal handler installed, a fault re-enters the program at the
+/// handler's instruction index — rarely a block leader, so the engine
+/// resumes per-op until the next one. Every mode must agree on
+/// everything that follows.
 #[test]
-fn fused_and_unfused_agree_under_fault_handler_redirects() {
+fn fast_path_agrees_with_reference_under_fault_handler_redirects() {
     let mut rng = Rng::new(0x51663);
     let mut redirected = 0u32;
     for case in 0..48 {
         let program = random_guarded_runnable(&mut rng);
         let handler_idx = rng.below(program.len() as u64) as usize;
-        let handler = program.pc_of(handler_idx);
-        let run = |fused: bool| {
-            let mut functional = Functional::new(Arc::clone(&program));
-            functional.set_fused(fused);
-            functional.signal_handler = Some(handler);
-            let result = functional.run(100_000);
-            let mut image = functional.mem.read_bytes(0x2_0000, 0x1_0000);
-            image.extend(functional.mem.read_bytes(0x10_0000, 0x1_0000));
-            (result, image)
-        };
-        let (unfused, mem_unfused) = run(false);
-        let (fused, mem_fused) = run(true);
-        assert_eq!(unfused, fused, "case {case}: results diverged");
-        assert_eq!(mem_unfused, mem_fused, "case {case}: memory diverged");
-        if unfused.stats.faults > 0 {
+        let handler = Some(program.pc_of(handler_idx));
+        let result = assert_modes_agree(&program, 100_000, handler, &format!("case {case}"));
+        if result.stats.faults > 0 {
             redirected += 1;
         }
     }
     assert!(redirected > 0, "no run ever took the handler redirect");
 }
 
-/// Every verifyset kernel, under every Fig. 3 isolation scheme, must
-/// produce an identical architectural record on the fused tier: same
-/// exit state, same counters (retired, memory accesses, checks, faults),
-/// same modelled cycles. `RunRecord` equality ignores only the host-side
-/// throughput fields; the executor tag is normalized by hand.
+/// Every verifyset kernel, under every Fig. 3 isolation scheme, retires
+/// an identical record on the fast path and on the per-op reference
+/// path (forced by a pass-through chaos hook): same exit state, same
+/// counters, same modelled cycles.
 #[test]
-fn fused_and_unfused_agree_on_every_verifyset_kernel() {
-    use hfi_repro::hfi_bench::{run_functional_record, run_fused_record, FIG3_SCHEMES};
-    use hfi_repro::hfi_sim::ExecutorKind;
+fn fast_path_agrees_with_reference_on_every_verifyset_kernel() {
+    use hfi_repro::hfi_bench::{compile_cached, run_cell, run_functional_record, FIG3_SCHEMES};
+    use hfi_repro::hfi_wasm::compiler::CompileOptions;
     use hfi_repro::hfi_wasm::kernels::{sightglass, speclike};
 
     let mut kernels = sightglass::suite(1);
     kernels.extend(speclike::suite(1));
     for kernel in &kernels {
         for iso in FIG3_SCHEMES {
-            let unfused = run_functional_record(kernel, iso);
-            let mut fused = run_fused_record(kernel, iso);
+            let fast = run_functional_record(kernel, iso);
+            let opts = CompileOptions::new(iso);
+            let compiled = compile_cached(kernel, &opts);
+            let mut functional = Functional::new(compiled.program.clone());
+            functional.set_chaos(Box::new(PassThrough));
+            let mut reference = run_cell(&mut functional, kernel, opts.heap_base);
+            reference.verified = fast.verified;
+            reference.proof_digest = fast.proof_digest;
             assert_eq!(
-                fused.executor,
-                ExecutorKind::Fused,
-                "{}: fused record must be tagged fused",
-                kernel.name
-            );
-            fused.executor = unfused.executor;
-            assert_eq!(
-                unfused, fused,
+                fast, reference,
                 "{} under {iso:?}: records diverged",
                 kernel.name
             );
+            assert_eq!(fast.cycles.to_bits(), reference.cycles.to_bits());
         }
     }
 }
 
-/// The chaos seam under fusion: with any hook installed the fused engine
-/// must fall back to fully observed per-op execution, so a passive
-/// recording hook sees the *identical* retired-access event stream on
-/// both tiers (same retires, same memory accesses, same faults, in the
-/// same order).
+/// A fuel hook that fires must cancel at the same instruction whether
+/// blocks run whole or op by op: the fast path only takes a block when
+/// the countdown covers it, so every poll lands where the reference
+/// loop's would.
 #[test]
-fn fused_and_unfused_emit_identical_event_traces_when_observed() {
-    use hfi_repro::hfi_sim::{ArchEvent, ChaosHook};
-    use std::sync::{Arc as SyncArc, Mutex};
-
-    struct Recorder(SyncArc<Mutex<Vec<ArchEvent>>>);
-    impl ChaosHook for Recorder {
-        fn observe(&mut self, event: &ArchEvent) {
-            self.0.lock().expect("recorder unpoisoned").push(*event);
+fn firing_fuel_hook_cancels_at_the_same_instruction_on_every_path() {
+    let mut rng = Rng::new(0xF0E1);
+    let mut cancelled = 0u32;
+    for case in 0..48 {
+        let program = random_guarded_runnable(&mut rng);
+        let period = rng.range_u64(2, 24);
+        let fire_at = rng.range_u64(1, 4);
+        let run = |chaos: bool| {
+            let mut functional = Functional::new(Arc::clone(&program));
+            let mut polls = 0u64;
+            functional.set_fuel(
+                period,
+                Box::new(move || {
+                    polls += 1;
+                    polls < fire_at
+                }),
+            );
+            if chaos {
+                functional.set_chaos(Box::new(PassThrough));
+            }
+            functional.run(200_000)
+        };
+        let (fast, reference) = (run(false), run(true));
+        assert_eq!(
+            fast, reference,
+            "case {case}: period {period}, fire at poll {fire_at}"
+        );
+        if fast.stop == Stop::CycleLimit {
+            cancelled += 1;
+            assert_eq!(fast.stats.retired, period * fire_at - 1, "case {case}");
         }
     }
+    assert!(cancelled > 0, "no run was cancelled by its fuel hook");
+}
 
-    let mut rng = Rng::new(0x7ACE);
-    for case in 0..24 {
-        let program = random_guarded_runnable(&mut rng);
-        let trace_of = |fused: bool| {
-            let events = SyncArc::new(Mutex::new(Vec::new()));
-            let mut functional = Functional::new(Arc::clone(&program));
-            functional.set_fused(fused);
-            functional.set_chaos(Box::new(Recorder(SyncArc::clone(&events))));
-            let result = functional.run(100_000);
-            drop(functional);
-            (
-                result,
-                SyncArc::try_unwrap(events)
-                    .expect("sole owner")
-                    .into_inner()
-                    .expect("recorder unpoisoned"),
-            )
-        };
-        let (unfused, trace_unfused) = trace_of(false);
-        let (fused, trace_fused) = trace_of(true);
-        assert_eq!(unfused, fused, "case {case}: observed results diverged");
-        assert_eq!(
-            trace_unfused, trace_fused,
-            "case {case}: retired-access traces diverged"
-        );
-        assert!(
-            !trace_unfused.is_empty(),
-            "case {case}: empty trace proves nothing"
-        );
+const CODE_BASE: u64 = 0x40_0000;
+
+fn code_region(base: u64, mask: u64, exec: bool) -> Region {
+    Region::Code(ImplicitCodeRegion::new(base, mask, exec).expect("code region"))
+}
+
+/// `prologue` (run outside the sandbox), then `hfi_enter` and a jump
+/// that starts a fresh block, then `body` and `halt`. Body branch
+/// targets are relative to the body's first instruction.
+fn sandboxed(prologue: Vec<Inst>, body: Vec<Inst>) -> Arc<Program> {
+    let mut insts = prologue;
+    insts.push(Inst::HfiEnter {
+        config: SandboxConfig::hybrid(),
+    });
+    let start = insts.len() + 1;
+    insts.push(Inst::Jump { target: start });
+    for inst in body {
+        insts.push(match inst {
+            Inst::Jump { target } => Inst::Jump {
+                target: target + start,
+            },
+            other => other,
+        });
     }
+    insts.push(Inst::Halt);
+    Arc::new(Program::new(insts, CODE_BASE))
+}
+
+fn adds(n: usize) -> Vec<Inst> {
+    (0..n)
+        .map(|i| Inst::AluRI {
+            op: AluOp::Add,
+            dst: Reg((i % 4) as u8),
+            a: Reg((i % 4) as u8),
+            imm: i as i64,
+        })
+        .collect()
+}
+
+#[test]
+fn block_straddling_a_code_region_edge_faults_at_the_exact_op() {
+    let region_last = CODE_BASE + 0xFF;
+    let program = sandboxed(
+        vec![Inst::HfiSetRegion {
+            slot: 0,
+            region: code_region(CODE_BASE, 0xFF, true),
+        }],
+        adds(96),
+    );
+    let plan = plan_of(&program);
+    let straddler = (0..program.len())
+        .find(|&i| plan.pc(i) + plan.op(i).len as u64 - 1 > region_last)
+        .expect("the body crosses the region edge");
+    let block = plan.blocks()[plan.block_of(straddler)];
+    assert!(
+        block.fast && (block.start as usize) < straddler,
+        "one fast block crosses the edge"
+    );
+    let result = assert_modes_agree(&program, 10_000, None, "straddle");
+    assert_eq!(
+        result.stop,
+        Stop::Fault(HfiFault::CodeBounds {
+            pc: plan.pc(straddler)
+        })
+    );
+    // Everything before the straddling op retired; the op itself did not.
+    assert_eq!(result.stats.retired, straddler as u64);
+}
+
+#[test]
+fn earlier_code_slot_covering_the_middle_of_a_block_is_honoured() {
+    // Slot 1 grants the whole program; slot 0 covers a 64-byte window in
+    // the middle of the body's one block. First match wins per fetch.
+    let window = CODE_BASE + 0x40;
+    for exec in [true, false] {
+        let program = sandboxed(
+            vec![
+                Inst::HfiSetRegion {
+                    slot: 0,
+                    region: code_region(window, 0x3F, exec),
+                },
+                Inst::HfiSetRegion {
+                    slot: 1,
+                    region: code_region(CODE_BASE, 0xFFFF, true),
+                },
+            ],
+            adds(48),
+        );
+        let plan = plan_of(&program);
+        let block = plan.blocks()[plan.block_of(program.len() - 1)];
+        assert!(block.fast && plan.pc(block.start as usize) < window);
+        let result = assert_modes_agree(&program, 10_000, None, &format!("exec={exec}"));
+        // The first fetch that matches slot 0 faults without execute;
+        // with execute, only a fetch running past the window's end does.
+        let window_last = window + 0x3F;
+        let faulting = (0..program.len()).find(|&i| {
+            let (pc, last) = (plan.pc(i), plan.pc(i) + plan.op(i).len as u64 - 1);
+            (window..=window_last).contains(&pc) && (!exec || last > window_last)
+        });
+        let expected = match faulting {
+            Some(i) => Stop::Fault(HfiFault::CodeBounds { pc: plan.pc(i) }),
+            None => Stop::Halted,
+        };
+        assert_eq!(result.stop, expected, "exec={exec}");
+        assert!(exec || faulting.is_some(), "the body reaches the window");
+    }
+}
+
+#[test]
+fn mid_block_fault_delivered_to_the_next_op_leaves_the_sandbox() {
+    use hfi_repro::hfi_core::region::ImplicitDataRegion;
+    // One fast block: a load outside every data region faults; the
+    // handler is the very next op, which runs after delivery exited the
+    // sandbox and so must not be counted as a sandboxed fetch.
+    let mut body = adds(3);
+    body.push(Inst::Load {
+        dst: Reg(5),
+        mem: MemOperand::base_disp(Reg(8), 0x50_0000),
+        size: 8,
+    });
+    body.extend(adds(5));
+    let program = sandboxed(
+        vec![
+            Inst::MovI {
+                dst: Reg(8),
+                imm: 0x2_0000,
+            },
+            Inst::HfiSetRegion {
+                slot: 0,
+                region: code_region(CODE_BASE, 0xFFFF, true),
+            },
+            Inst::HfiSetRegion {
+                slot: 2,
+                region: Region::Data(
+                    ImplicitDataRegion::new(0x2_0000, 0xFFFF, true, true).expect("data"),
+                ),
+            },
+        ],
+        body,
+    );
+    let plan = plan_of(&program);
+    let load = (0..program.len())
+        .find(|&i| plan.op(i).class == hfi_repro::hfi_sim::OpClass::Load)
+        .expect("body has a load");
+    assert!(plan.blocks()[plan.block_of(load)].fast);
+    let handler = Some(plan.pc(load + 1));
+    let result = assert_modes_agree(&program, 10_000, handler, "handler-is-next");
+    assert_eq!(result.stop, Stop::Halted);
+    assert_eq!(result.stats.faults, 1);
+    // Sandboxed fetches: the jump after hfi_enter, three adds, the load
+    // — plus the load's own data check. Nothing after delivery counts.
+    assert_eq!(result.stats.hfi_checks, 1 + 3 + 1 + 1);
+}
+
+#[test]
+fn hfi_transitions_inside_blocks_run_on_the_reference_path() {
+    // hfi_set_region / hfi_exit / hfi_enter in the middle of straight-
+    // line code: those blocks never take the fast path, and the blocks
+    // around them run under whatever sandbox state they leave behind.
+    let mut body = adds(4);
+    body.push(Inst::HfiExit);
+    body.extend(adds(4));
+    body.push(Inst::HfiSetRegion {
+        slot: 1,
+        region: code_region(CODE_BASE + 0x1_0000, 0xFFFF, true),
+    });
+    body.push(Inst::HfiEnter {
+        config: SandboxConfig::hybrid(),
+    });
+    body.extend(adds(4));
+    // A fast block, sandboxed, between two transition blocks.
+    body.push(Inst::Jump {
+        target: body.len() + 1,
+    });
+    body.extend(adds(6));
+    body.push(Inst::Jump {
+        target: body.len() + 1,
+    });
+    body.push(Inst::HfiExit);
+    let program = sandboxed(
+        vec![Inst::HfiSetRegion {
+            slot: 0,
+            region: code_region(CODE_BASE, 0xFFFF, true),
+        }],
+        body,
+    );
+    let plan = plan_of(&program);
+    assert!(plan.blocks().iter().any(|b| b.fast), "some block is fast");
+    assert!(plan.blocks().iter().any(|b| !b.fast), "some block is not");
+    let result = assert_modes_agree(&program, 10_000, None, "transitions");
+    assert_eq!(result.stop, Stop::Halted);
+    assert!(result.stats.hfi_checks > 0);
 }
 
 #[test]

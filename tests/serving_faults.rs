@@ -1,14 +1,16 @@
 //! Serving-outcome taxonomy: every fault-containment [`Outcome`]
 //! variant is reachable through a deterministic scenario, and the
-//! classification is identical on the plain functional and the fused
-//! executor tiers.
+//! classification is identical on both execution paths of the
+//! functional tier: the block fast path and the per-op reference path.
 //!
 //! This is the serving-tier sibling of
 //! `crates/hfi-sim/tests/fault_taxonomy.rs` (which pins the
 //! *architectural* fault taxonomy). A fault class that only classifies
-//! correctly on one tier would make chaos campaigns and degradation
-//! gates tier-dependent — so each scenario here runs twice, once per
-//! tier, and asserts the same outcome shape.
+//! correctly on one path would make chaos campaigns (which always run
+//! per-op) and deadline-carrying production requests (which mostly run
+//! whole blocks) disagree — so each scenario here runs twice, once per
+//! path, and asserts the same outcome shape. A request takes the
+//! reference path by carrying a pass-through chaos hook.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -17,7 +19,7 @@ use hfi_chaos::PanicHook;
 use hfi_serve::{
     AdmitPolicy, Outcome, Request, Scheduler, ServeConfig, TenantSpec, Tier, WarmPools,
 };
-use hfi_sim::{AluOp, Program, ProgramBuilder, Reg, Stop};
+use hfi_sim::{AluOp, ChaosHook, Program, ProgramBuilder, Reg, Stop};
 use hfi_wasm::compiler::{Isolation, VerifyVerdict};
 
 const HEAP_BASE: u64 = 0x1000_0000;
@@ -41,13 +43,13 @@ fn runaway_program() -> Arc<Program> {
     Arc::new(asm.finish())
 }
 
-fn pools_with(program: Arc<Program>, verdict: VerifyVerdict, tier: Tier) -> Arc<WarmPools> {
+fn pools_with(program: Arc<Program>, verdict: VerifyVerdict) -> Arc<WarmPools> {
     let tenants = vec![TenantSpec::from_program(
         "t0".to_string(),
         program,
         verdict,
         Isolation::Hfi,
-        tier,
+        Tier::Functional,
         HEAP_BASE,
         Vec::new(),
         None,
@@ -60,56 +62,72 @@ fn pools_with(program: Arc<Program>, verdict: VerifyVerdict, tier: Tier) -> Arc<
     ))
 }
 
-fn request(limit: u64, deadline: Option<Duration>) -> Request {
+/// Which execution path of the functional engine serves a request.
+#[derive(Debug, Clone, Copy)]
+enum Path {
+    /// Whole blocks where they fit (no chaos hook installed).
+    Fast,
+    /// Every op through the reference step (a chaos hook installed).
+    Reference,
+}
+
+const PATHS: [Path; 2] = [Path::Fast, Path::Reference];
+
+/// A chaos hook that perturbs nothing.
+struct PassThrough;
+impl ChaosHook for PassThrough {}
+
+fn request(limit: u64, deadline: Option<Duration>, path: Path) -> Request {
     Request {
         tenant: 0,
         arrival_ns: 0,
         limit,
         deadline,
-        chaos: None,
+        chaos: match path {
+            Path::Fast => None,
+            Path::Reference => Some(Box::new(PassThrough)),
+        },
     }
 }
 
-const TIERS: [Tier; 2] = [Tier::Functional, Tier::Fused];
-
 #[test]
 fn zero_deadline_classifies_as_queue_expiry_on_both_tiers() {
-    for tier in TIERS {
-        let pools = pools_with(tiny_program(7), VerifyVerdict::Unchecked, tier);
+    for path in PATHS {
+        let pools = pools_with(tiny_program(7), VerifyVerdict::Unchecked);
         let scheduler = Scheduler::new(Arc::clone(&pools), 1);
-        scheduler.submit(request(1_000, Some(Duration::ZERO)));
+        scheduler.submit(request(1_000, Some(Duration::ZERO), path));
         let completions = scheduler.finish();
-        assert_eq!(completions.len(), 1, "{tier:?}");
+        assert_eq!(completions.len(), 1, "{path:?}");
         assert_eq!(
             completions[0].outcome,
             Outcome::DeadlineExceeded { ran: false },
-            "{tier:?}: a zero budget must expire in queue"
+            "{path:?}: a zero budget must expire in queue"
         );
         assert_eq!(
             pools.stats().cold_builds,
             0,
-            "{tier:?}: an expired request must not pay for a checkout"
+            "{path:?}: an expired request must not pay for a checkout"
         );
     }
 }
 
 #[test]
 fn runaway_kernels_are_cancelled_mid_run_on_both_tiers() {
-    for tier in TIERS {
-        let pools = pools_with(runaway_program(), VerifyVerdict::Unchecked, tier);
+    for path in PATHS {
+        let pools = pools_with(runaway_program(), VerifyVerdict::Unchecked);
         let scheduler = Scheduler::new(pools, 1);
         let started = Instant::now();
-        scheduler.submit(request(u64::MAX, Some(Duration::from_millis(20))));
+        scheduler.submit(request(u64::MAX, Some(Duration::from_millis(20)), path));
         let completions = scheduler.finish();
-        assert_eq!(completions.len(), 1, "{tier:?}");
+        assert_eq!(completions.len(), 1, "{path:?}");
         assert_eq!(
             completions[0].outcome,
             Outcome::DeadlineExceeded { ran: true },
-            "{tier:?}: the fuel hook must cancel the runaway mid-run"
+            "{path:?}: the fuel hook must cancel the runaway mid-run"
         );
         assert!(
             started.elapsed() < Duration::from_secs(20),
-            "{tier:?}: cancellation must come from the deadline, not budget exhaustion"
+            "{path:?}: cancellation must come from the deadline, not budget exhaustion"
         );
     }
 }
@@ -117,8 +135,8 @@ fn runaway_kernels_are_cancelled_mid_run_on_both_tiers() {
 #[test]
 fn panics_quarantine_then_trip_the_breaker_identically_on_both_tiers() {
     hfi_chaos::silence_injected_panics();
-    for tier in TIERS {
-        let pools = pools_with(tiny_program(7), VerifyVerdict::Unchecked, tier);
+    for path in PATHS {
+        let pools = pools_with(tiny_program(7), VerifyVerdict::Unchecked);
         let config = ServeConfig {
             breaker_threshold: 2,
             breaker_cooldown: Duration::from_secs(300),
@@ -128,7 +146,7 @@ fn panics_quarantine_then_trip_the_breaker_identically_on_both_tiers() {
         for _ in 0..3 {
             scheduler.submit(Request {
                 chaos: Some(Box::new(PanicHook::new(0))),
-                ..request(1_000, None)
+                ..request(1_000, None, path)
             });
         }
         let mut completions = scheduler.finish();
@@ -138,36 +156,36 @@ fn panics_quarantine_then_trip_the_breaker_identically_on_both_tiers() {
             .map(|c| match &c.outcome {
                 Outcome::Panicked { .. } => "panicked",
                 Outcome::CircuitOpen => "circuit-open",
-                other => panic!("{tier:?}: unexpected outcome {other:?}"),
+                other => panic!("{path:?}: unexpected outcome {other:?}"),
             })
             .collect();
         assert_eq!(
             labels,
             vec!["panicked", "panicked", "circuit-open"],
-            "{tier:?}: two panics open the breaker, the third sheds"
+            "{path:?}: two panics open the breaker, the third sheds"
         );
         assert_eq!(
             pools.stats().quarantined,
             2,
-            "{tier:?}: each panicked lease is quarantined"
+            "{path:?}: each panicked lease is quarantined"
         );
     }
 }
 
 #[test]
 fn admission_rejections_classify_identically_on_both_tiers() {
-    for tier in TIERS {
-        let pools = pools_with(tiny_program(7), VerifyVerdict::Rejected(Vec::new()), tier);
+    for path in PATHS {
+        let pools = pools_with(tiny_program(7), VerifyVerdict::Rejected(Vec::new()));
         let scheduler = Scheduler::new(pools, 1);
-        scheduler.submit(request(1_000, None));
+        scheduler.submit(request(1_000, None, path));
         let completions = scheduler.finish();
-        assert_eq!(completions.len(), 1, "{tier:?}");
+        assert_eq!(completions.len(), 1, "{path:?}");
         assert!(
             matches!(
                 completions[0].outcome,
                 Outcome::Rejected { stale: false, .. }
             ),
-            "{tier:?}: got {:?}",
+            "{path:?}: got {:?}",
             completions[0].outcome
         );
     }
@@ -175,25 +193,25 @@ fn admission_rejections_classify_identically_on_both_tiers() {
 
 #[test]
 fn zero_capacity_queues_shed_deterministically_on_both_tiers() {
-    for tier in TIERS {
-        let pools = pools_with(tiny_program(7), VerifyVerdict::Unchecked, tier);
+    for path in PATHS {
+        let pools = pools_with(tiny_program(7), VerifyVerdict::Unchecked);
         let config = ServeConfig {
             queue_cap: 0,
             ..ServeConfig::default()
         };
         let scheduler = Scheduler::with_config(pools, 1, config);
         for _ in 0..4 {
-            scheduler.submit(request(1_000, None));
+            scheduler.submit(request(1_000, None, path));
         }
         let completions = scheduler.finish();
         assert_eq!(
             completions.len(),
             4,
-            "{tier:?}: shed requests still complete"
+            "{path:?}: shed requests still complete"
         );
         for completion in &completions {
-            assert_eq!(completion.outcome, Outcome::Shed, "{tier:?}");
-            assert_eq!(completion.service_ns, 0, "{tier:?}");
+            assert_eq!(completion.outcome, Outcome::Shed, "{path:?}");
+            assert_eq!(completion.service_ns, 0, "{path:?}");
         }
     }
 }
@@ -202,28 +220,25 @@ fn zero_capacity_queues_shed_deterministically_on_both_tiers() {
 fn healthy_requests_complete_bit_identically_across_tiers() {
     // The containment plumbing (fuel polling, catch_unwind, breakers)
     // must be invisible to a healthy run: same Stop, same result, and
-    // the RunRecord counter surface identical between tiers.
+    // the RunRecord counter surface identical between paths.
     let mut records = Vec::new();
-    for tier in TIERS {
-        let pools = pools_with(tiny_program(42), VerifyVerdict::Unchecked, tier);
+    for path in PATHS {
+        let pools = pools_with(tiny_program(42), VerifyVerdict::Unchecked);
         let scheduler = Scheduler::new(pools, 1);
         // A generous deadline exercises the fuel path without firing.
-        scheduler.submit(request(1_000, Some(Duration::from_secs(60))));
+        scheduler.submit(request(1_000, Some(Duration::from_secs(60)), path));
         let completions = scheduler.finish();
         match &completions[0].outcome {
             Outcome::Done { stop, record, r0 } => {
-                assert_eq!(*stop, Stop::Halted, "{tier:?}");
-                assert_eq!(*r0, 42, "{tier:?}");
+                assert_eq!(*stop, Stop::Halted, "{path:?}");
+                assert_eq!(*r0, 42, "{path:?}");
                 records.push(record.clone());
             }
-            other => panic!("{tier:?}: unexpected outcome {other:?}"),
+            other => panic!("{path:?}: unexpected outcome {other:?}"),
         }
     }
-    // Identical up to the executor's own name tag.
-    let mut fused = records[1].clone();
-    fused.executor = records[0].executor;
     assert_eq!(
-        *records[0], *fused,
-        "functional and fused tiers must retire identical counter surfaces"
+        records[0], records[1],
+        "both paths must retire identical counter surfaces"
     );
 }

@@ -4,11 +4,10 @@
 //! The serving tier's whole economy rests on reuse — `release` resets
 //! the executor and re-prepares the heap image instead of tearing the
 //! sandbox down (`crates/hfi-serve/src/pool.rs`). If any guest state
-//! survived that reset (registers, sparse memory, chaos hooks, fused
-//! dispatch state), a tenant could observe — or be corrupted by — a
+//! survived that reset (registers, sparse memory, chaos and fuel
+//! hooks), a tenant could observe — or be corrupted by — a
 //! previous run. This property test drives a seeded random checkout
-//! sequence over the full HFI kernel suite, on both functional tiers,
-//! and demands that every run's `RunRecord`, result register, and
+//! sequence over the full HFI kernel suite and demands that every run's `RunRecord`, result register, and
 //! final heap window are byte-identical to a single-use reference
 //! instance of the same kernel.
 
@@ -38,14 +37,10 @@ struct Reference {
 
 fn fresh_reference(
     program: &Arc<Program>,
-    tier: Tier,
     heap_base: u64,
     heap_init: &[(u32, Vec<u8>)],
 ) -> Reference {
-    let mut functional = match tier {
-        Tier::Fused => Functional::new_fused(Arc::clone(program)),
-        _ => Functional::new(Arc::clone(program)),
-    };
+    let mut functional = Functional::new(Arc::clone(program));
     for (off, bytes) in heap_init {
         Executor::prepare(&mut functional, heap_base + *off as u64, bytes);
     }
@@ -77,7 +72,7 @@ fn run_and_check(lease: &mut Lease, reference: &Reference, heap_base: u64, name:
     let functional = lease
         .instance
         .functional_mut()
-        .expect("suite tenants run on the functional tiers");
+        .expect("suite tenants run on the functional tier");
     let heap = functional.mem.read_bytes(heap_base, MEM_WINDOW);
     assert!(
         heap == reference.heap,
@@ -92,20 +87,12 @@ fn warm_reuse_is_indistinguishable_from_fresh_instances() {
     let opts = CompileOptions::new(Isolation::Hfi);
     let heap_base = opts.heap_base;
 
-    // Alternate tiers across the table so both the plain and the fused
-    // functional engines go through the reuse path.
     let mut references = Vec::with_capacity(kernels.len());
     let mut tenants = Vec::with_capacity(kernels.len());
     for (i, kernel) in kernels.iter().enumerate() {
         let compiled = compile_cached(kernel, &opts);
-        let tier = if i % 2 == 0 {
-            Tier::Fused
-        } else {
-            Tier::Functional
-        };
         references.push(fresh_reference(
             &compiled.program,
-            tier,
             heap_base,
             &kernel.heap_init,
         ));
@@ -119,7 +106,7 @@ fn warm_reuse_is_indistinguishable_from_fresh_instances() {
             compiled.program.clone(),
             compiled.verdict.clone(),
             Isolation::Hfi,
-            tier,
+            Tier::Functional,
             heap_base,
             kernel
                 .heap_init
@@ -205,16 +192,10 @@ fn quarantined_instances_never_return_and_reuse_stays_pristine() {
 
     let mut references = Vec::with_capacity(kernels.len());
     let mut tenants = Vec::with_capacity(kernels.len());
-    for (i, kernel) in kernels.iter().enumerate() {
+    for kernel in &kernels {
         let compiled = compile_cached(kernel, &opts);
-        let tier = if i % 2 == 0 {
-            Tier::Fused
-        } else {
-            Tier::Functional
-        };
         references.push(fresh_reference(
             &compiled.program,
-            tier,
             heap_base,
             &kernel.heap_init,
         ));
@@ -223,7 +204,7 @@ fn quarantined_instances_never_return_and_reuse_stays_pristine() {
             compiled.program.clone(),
             compiled.verdict.clone(),
             Isolation::Hfi,
-            tier,
+            Tier::Functional,
             heap_base,
             kernel
                 .heap_init
