@@ -17,65 +17,24 @@
 //!
 //! Flags (plus the shared harness flags, `--smoke`, `--jobs N`):
 //!
-//! * `--check <baseline.json>` — gate the executed functional-tier
-//!   round trips against the committed baseline (they are deterministic
-//!   simulator cycles, so the comparison is exact), on top of the
-//!   always-on elision invariant below.
+//! * `--check <baseline.json>` — gate the executed round trips against
+//!   the committed baseline ([`hfi_bench::gate::transitions`]).
 //! * `--out <path>` — output path (default `BENCH_transitions.json`).
 //!
-//! # Gate semantics
-//!
-//! Two checks, both fatal:
-//!
-//! * **Elision invariant** (always on): the ZeroCost scheme's executed
-//!   round trip must be at most *half* the FullSpringboard round trip
-//!   on both tiers — the verified-elision payoff the tentpole claims.
-//! * **Baseline** (`--check`): per scheme, `rt_func_<label>` must match
-//!   the baseline exactly; `rt_cycle_<label>` may drift ±25% (pipeline
-//!   model churn moves it legitimately, cost-model regressions blow
-//!   through it).
+//! Always on, with or without `--check`, is the elision invariant: the
+//! ZeroCost scheme's executed round trip must be at most *half* the
+//! FullSpringboard round trip on both tiers — the verified-elision
+//! payoff.
 
+use hfi_bench::gate::{self, Baseline};
+use hfi_bench::record::Record;
 use hfi_bench::{print_table, transitions, Harness};
 use hfi_core::{CostModel, TransitionScheme};
 use hfi_wasm::Transition;
 
-fn extract_json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && c != '+' && c != 'e' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
     let mut harness = Harness::from_env("micro_transitions");
-    let mut check: Option<String> = None;
-    let mut out_path = "BENCH_transitions.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--check" | "--baseline" => check = args.next(),
-            "--out" => {
-                if let Some(p) = args.next() {
-                    out_path = p;
-                }
-            }
-            _ => {}
-        }
-    }
-    // Read the baseline before writing the output so gating the default
-    // path never compares a run to itself.
-    let baseline = check.as_ref().map(|path| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!(
-                "[transitions] ERROR: cannot read baseline {path}: {e}\n\
-                 [transitions] run once without --check to record a baseline first"
-            );
-            std::process::exit(2);
-        })
-    });
+    let baseline = Baseline::from_harness(&harness, gate::transitions());
 
     // --- The modeled spectrum (kept: the paper's §2 context table). ---
     let costs = CostModel::default();
@@ -183,38 +142,29 @@ fn main() {
     }
 
     // --- BENCH_transitions.json. ---
-    let mut json = String::from("{\"figure\":\"transitions\"");
-    json.push_str(&format!(
-        ",\"mode\":\"{}\"",
-        if harness.smoke() { "smoke" } else { "full" }
-    ));
+    let mut record = Record::header("transitions", harness.smoke(), harness.seed_or(0));
     for m in &measured {
-        json.push_str(&format!(
-            ",\"rt_func_{0}\":{1},\"rt_cycle_{0}\":{2}",
-            m.scheme.label(),
-            m.round_trip_functional,
-            m.round_trip_cycle
-        ));
+        let label = m.scheme.label();
+        record = record
+            .int(format!("rt_func_{label}"), m.round_trip_functional)
+            .int(format!("rt_cycle_{label}"), m.round_trip_cycle);
     }
-    json.push_str(",\"amortization\":[");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "{{\"scheme\":\"{}\",\"scale\":{},\"body_cycles\":{},\"total_cycles\":{},\
-             \"overhead_cycles\":{},\"overhead_pct\":{:.3}}}",
-            p.scheme.label(),
-            p.scale,
-            p.body_cycles,
-            p.total_cycles,
-            p.overhead_cycles,
-            p.overhead_pct
-        ));
-    }
-    json.push_str("]}");
-    std::fs::write(&out_path, format!("{json}\n")).expect("write transitions json");
-    eprintln!("[transitions] wrote {out_path}");
+    let amortization = points
+        .iter()
+        .map(|p| {
+            Record::default()
+                .str("scheme", p.scheme.label())
+                .int("scale", p.scale.into())
+                .int("body_cycles", p.body_cycles)
+                .int("total_cycles", p.total_cycles)
+                .int("overhead_cycles", p.overhead_cycles)
+                .num("overhead_pct", p.overhead_pct, 3)
+        })
+        .collect();
+    let record = record.rows("amortization", amortization);
+    let out = harness.out_or("BENCH_transitions.json");
+    record.write(out).expect("write transitions json");
+    eprintln!("[transitions] wrote {out}");
     harness.finish().expect("write bench records");
 
     // --- Gates. ---
@@ -247,48 +197,7 @@ fn main() {
             failed = true;
         }
     }
-    if let Some(baseline) = baseline {
-        for m in &measured {
-            let func_key = format!("rt_func_{}", m.scheme.label());
-            let cycle_key = format!("rt_cycle_{}", m.scheme.label());
-            let missing = |key: &str| -> f64 {
-                eprintln!(
-                    "[transitions] ERROR: no \"{key}\" in the baseline; re-record it \
-                     with this binary first"
-                );
-                std::process::exit(2);
-            };
-            let base_func =
-                extract_json_number(&baseline, &func_key).unwrap_or_else(|| missing(&func_key));
-            let base_cycle =
-                extract_json_number(&baseline, &cycle_key).unwrap_or_else(|| missing(&cycle_key));
-            // Functional cycles are a deterministic cost-model sum:
-            // any drift is a real transition-cost change.
-            if m.round_trip_functional as f64 != base_func {
-                eprintln!(
-                    "[transitions] FAIL: {} functional round trip changed: {} -> {} \
-                     (re-record the baseline if intentional)",
-                    m.scheme.label(),
-                    base_func,
-                    m.round_trip_functional
-                );
-                failed = true;
-            }
-            let lo = base_cycle * 0.75;
-            let hi = base_cycle * 1.25;
-            let measured_cycle = m.round_trip_cycle as f64;
-            if measured_cycle < lo || measured_cycle > hi {
-                eprintln!(
-                    "[transitions] FAIL: {} cycle-machine round trip drifted past 25%: \
-                     {} -> {}",
-                    m.scheme.label(),
-                    base_cycle,
-                    m.round_trip_cycle
-                );
-                failed = true;
-            }
-        }
-    }
+    failed |= baseline.is_some_and(|b| !b.check(&record));
     if failed {
         std::process::exit(1);
     }

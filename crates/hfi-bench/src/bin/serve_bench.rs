@@ -24,7 +24,8 @@
 //!   the flag — they have no HFI springboard to vary.
 //! * `--check <baseline.json>` (alias `--baseline`) — gate p99 latency
 //!   (at the lowest Poisson load) and achieved throughput (at the
-//!   highest) per scheme against the baseline file.
+//!   highest) per scheme, plus the degrade keys with `--degrade`,
+//!   against the baseline file ([`hfi_bench::gate::serving`]).
 //! * `--out <path>` — output path (default `BENCH_serving.json`).
 //! * `--degrade` — append the graceful-degradation sweep: offered load
 //!   from 0.5x to 3x of measured capacity, each level run clean and
@@ -46,21 +47,11 @@
 //! * `density_*` is the peak number of concurrently live sandbox
 //!   instances per scheme, charged against the real `SandboxRuntime`.
 //!
-//! # Gate semantics
-//!
-//! `--check` compares, per scheme, `p99_ms_<scheme>` (must not grow by
-//! more than [`REGRESSION_BUDGET`] plus [`P99_SLACK_MS`] of absolute
-//! slack) and `achieved_rps_<scheme>` (must not shrink by more than
-//! the budget). The baseline is read before the output file is
-//! written, so gating against the committed `BENCH_serving.json` never
-//! compares a run to itself; a missing or malformed baseline is a
-//! usage error (exit 2). Latency budgets are wider than the throughput
-//! benchmark's because tail latency on a shared CI host is inherently
-//! noisier than aggregate sim-MIPS.
-
 use std::sync::Arc;
 use std::time::Duration;
 
+use hfi_bench::gate::{self, Baseline};
+use hfi_bench::record::Record;
 use hfi_bench::{compile_cached, median, print_table, Harness, FIG3_SCHEMES, FUNCTIONAL_LIMIT};
 use hfi_chaos::PanicHook;
 use hfi_core::TransitionScheme;
@@ -93,21 +84,6 @@ impl SchemeChoice {
         }
     }
 }
-
-/// Allowed fractional regression (p99 growth / throughput shrink)
-/// before `--check` fails. Tail latency on shared CI hosts is far
-/// noisier than sim-MIPS, hence the wider budget than the throughput
-/// benchmark's 20%.
-const REGRESSION_BUDGET: f64 = 0.50;
-
-/// Absolute slack added to the p99 ceiling. A smoke level serves only
-/// a few dozen requests, so its p99 is nearly the max; measured on a
-/// single-core container, back-to-back runs flap between 0.25 ms and
-/// ~2 ms purely from host stalls. A real scheduling regression —
-/// starvation, livelock, lost completions — overshoots this by orders
-/// of magnitude (and trips the overload / achieved-rps / correctness
-/// checks besides), so the generous slack costs no detection power.
-const P99_SLACK_MS: f64 = 5.0;
 
 /// Tenant floor: every scheme gets at least this many tenants so the
 /// density comparison is about address space, not workload size.
@@ -153,16 +129,6 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     }
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[idx]
-}
-
-fn extract_json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && c != '+' && c != 'e' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Paces the arrival schedule onto the scheduler in host time and
@@ -493,8 +459,8 @@ fn run_degrade(
         *failures += 1;
         eprintln!("[serving] FAIL: degrade faulty sweep never opened the rogue's breaker");
     }
-    // Healthy-tenant p99 under faults at sub-saturation load: the gate
-    // the whole containment layer exists for.
+    // Healthy-tenant p99 under faults at sub-saturation load, gated on the
+    // clean run's: the check the whole containment layer exists for.
     for mult in ["05x", "1x"] {
         let clean = cells
             .iter()
@@ -504,8 +470,9 @@ fn run_degrade(
             .iter()
             .find(|c| c.variant == "faulty" && c.mult == mult)
             .expect("faulty cell exists");
-        let ceiling = clean.healthy_p99_ms * (1.0 + REGRESSION_BUDGET) + P99_SLACK_MS;
-        if faulty.healthy_p99_ms.is_nan() || faulty.healthy_p99_ms > ceiling {
+        let p99 = gate::serving_p99(format!("degrade_faulty_{mult}_healthy_p99_ms"));
+        let (_, ceiling) = p99.bounds(clean.healthy_p99_ms);
+        if !p99.holds(clean.healthy_p99_ms, faulty.healthy_p99_ms) {
             *failures += 1;
             eprintln!(
                 "[serving] FAIL: degrade {mult}: healthy-tenant p99 under faults \
@@ -520,8 +487,6 @@ fn run_degrade(
 fn main() {
     let harness = Harness::from_env("serving");
     let seed = harness.seed_or(0x5EED_F00D);
-    let mut check: Option<String> = None;
-    let mut out_path = "BENCH_serving.json".to_string();
     let mut scheme_choice = SchemeChoice::Default;
     let mut degrade = false;
     let mut workers = std::thread::available_parallelism()
@@ -531,12 +496,6 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--degrade" => degrade = true,
-            "--check" | "--baseline" => check = args.next(),
-            "--out" => {
-                if let Some(p) = args.next() {
-                    out_path = p;
-                }
-            }
             "--workers" => {
                 if let Some(w) = args.next() {
                     workers = w.parse().unwrap_or_else(|_| {
@@ -572,39 +531,7 @@ fn main() {
     }
     let scheme_label = scheme_choice.label();
 
-    // Read the baseline before the output file is written (gating the
-    // default output path must compare against the committed run) and
-    // before measuring (a mispointed path fails fast).
-    let baseline: Option<Vec<(String, f64, f64)>> = check.as_ref().map(|baseline_path| {
-        let text = match std::fs::read_to_string(baseline_path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!(
-                    "[serving] ERROR: cannot read baseline {baseline_path}: {e}\n\
-                     [serving] run once without --check to record a baseline first"
-                );
-                std::process::exit(2);
-            }
-        };
-        FIG3_SCHEMES
-            .iter()
-            .map(|scheme| {
-                let name = format!("{scheme:?}").to_lowercase();
-                let missing = |key: &str| -> f64 {
-                    eprintln!(
-                        "[serving] ERROR: no \"{key}\" field in baseline {baseline_path}\n\
-                         [serving] re-record the baseline with this binary first"
-                    );
-                    std::process::exit(2);
-                };
-                let p99_key = format!("p99_ms_{name}");
-                let rps_key = format!("achieved_rps_{name}");
-                let p99 = extract_json_number(&text, &p99_key).unwrap_or_else(|| missing(&p99_key));
-                let rps = extract_json_number(&text, &rps_key).unwrap_or_else(|| missing(&rps_key));
-                (name, p99, rps)
-            })
-            .collect()
-    });
+    let baseline = Baseline::from_harness(&harness, gate::serving(degrade));
 
     // The verifyset kernel suites; smoke keeps the three cheapest
     // sightglass kernels so CI debug runs stay fast.
@@ -875,7 +802,6 @@ fn main() {
         ],
         &rows,
     );
-    println!();
     for s in &scheme_results {
         println!(
             "  {:>12}: density {} (provisioned {}/{tenant_count}), setup p50 warm {:.1}us / \
@@ -891,7 +817,7 @@ fn main() {
                 vec![
                     c.variant.to_string(),
                     c.mult.to_string(),
-                    c.offered.to_string(),
+                    format!("{:.0}", c.offered_rps),
                     format!("{:.0}", c.achieved_rps),
                     format!("{:.2}", c.healthy_p50_ms),
                     format!("{:.2}", c.healthy_p99_ms),
@@ -907,7 +833,8 @@ fn main() {
         println!();
         print_table(
             &format!(
-                "Graceful degradation (capacity ~{capacity_rps:.0} rps, healthy-tenant latency)"
+                "Graceful degradation (capacity ~{capacity_rps:.0} rps; offered and achieved in rps, \
+                 healthy-tenant latency)"
             ),
             &[
                 "variant", "load", "offered", "achieved", "h-p50ms", "h-p99ms", "done", "dline",
@@ -921,113 +848,99 @@ fn main() {
     // Poisson load and achieved throughput at the highest.
     let lowest = format!("poisson-{:.0}", poisson_loads[0]);
     let highest = format!("poisson-{:.0}", poisson_loads[poisson_loads.len() - 1]);
-    let mut json = String::from("{");
-    json.push_str(&format!(
-        "\"figure\":\"serving\",\"mode\":\"{}\",\"seed\":{seed},\"workers\":{workers},\
-         \"tenants\":{tenant_count},\"tier\":\"{}\",\"transition_scheme\":\"{scheme_label}\"",
-        if harness.smoke() { "smoke" } else { "full" },
-        Tier::Functional.as_str()
-    ));
+    let tier = Tier::Functional.as_str();
+    let mut record = Record::header("serving", harness.smoke(), seed);
+    record = record
+        .int("workers", workers as u64)
+        .int("tenants", tenant_count as u64)
+        .str("tier", tier)
+        .str("transition_scheme", &scheme_label);
     for s in &scheme_results {
-        let p99 = level_results
-            .iter()
-            .find(|r| r.scheme == s.scheme && r.level == lowest)
-            .map(|r| r.p99_ms)
-            .unwrap_or(f64::NAN);
-        let rps = level_results
-            .iter()
-            .find(|r| r.scheme == s.scheme && r.level == highest)
-            .map(|r| r.achieved_rps)
-            .unwrap_or(f64::NAN);
+        let at = |level: &str| {
+            level_results
+                .iter()
+                .find(|r| r.scheme == s.scheme && r.level == level)
+        };
         let warm = level_results
             .iter()
             .filter(|r| r.scheme == s.scheme)
             .map(|r| r.warm_hit_rate)
             .sum::<f64>()
             / schedules.len() as f64;
-        json.push_str(&format!(
-            ",\"p99_ms_{0}\":{p99:.3},\"achieved_rps_{0}\":{rps:.1},\"density_{0}\":{1},\
-             \"warm_hit_rate_{0}\":{warm:.4},\"setup_warm_p50_us_{0}\":{2:.2},\
-             \"setup_cold_p50_us_{0}\":{3:.2}",
-            s.scheme, s.density, s.setup_warm_p50_us, s.setup_cold_p50_us
-        ));
+        let rps = at(&highest).map_or(f64::NAN, |r| r.achieved_rps);
+        let key = |what: &str| format!("{what}_{}", s.scheme);
+        record = record
+            .num(key("p99_ms"), at(&lowest).map_or(f64::NAN, |r| r.p99_ms), 3)
+            .num(key("achieved_rps"), rps, 1)
+            .int(key("density"), s.density)
+            .num(key("warm_hit_rate"), warm, 4)
+            .num(key("setup_warm_p50_us"), s.setup_warm_p50_us, 2)
+            .num(key("setup_cold_p50_us"), s.setup_cold_p50_us, 2);
     }
     if let Some((capacity_rps, cells)) = &degrade_results {
-        json.push_str(&format!(",\"degrade_capacity_rps\":{capacity_rps:.1}"));
+        record = record.num("degrade_capacity_rps", *capacity_rps, 1);
         for c in cells {
-            json.push_str(&format!(
-                ",\"degrade_{0}_{1}_healthy_p99_ms\":{2:.3},\
-                 \"degrade_{0}_{1}_achieved_rps\":{3:.1},\"degrade_{0}_{1}_shed\":{4}",
-                c.variant,
-                c.mult,
-                c.healthy_p99_ms,
-                c.achieved_rps,
-                c.shed + c.deadline + c.circuit_open + c.overloaded
-            ));
+            let key = |what: &str| format!("degrade_{}_{}_{what}", c.variant, c.mult);
+            record = record
+                .num(key("healthy_p99_ms"), c.healthy_p99_ms, 3)
+                .num(key("achieved_rps"), c.achieved_rps, 1)
+                .int(
+                    key("shed"),
+                    c.shed + c.deadline + c.circuit_open + c.overloaded,
+                );
         }
     }
-    let tier = Tier::Functional.as_str();
-    json.push_str(",\"cells\":[");
-    for (i, r) in level_results.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "{{\"scheme\":\"{}\",\"level\":\"{}\",\"seed\":{seed},\"tier\":\"{tier}\",\
-             \"transition_scheme\":\"{scheme_label}\",\
-             \"offered_rps\":{:.1},\"achieved_rps\":{:.1},\
-             \"p50_ms\":{:.3},\"p99_ms\":{:.3},\"p999_ms\":{:.3},\"warm_hit_rate\":{:.4},\
-             \"stolen\":{},\"done\":{},\"overloaded\":{},\"shed\":{},\"requests\":{}}}",
-            r.scheme,
-            r.level,
-            r.offered_rps,
-            r.achieved_rps,
-            r.p50_ms,
-            r.p99_ms,
-            r.p999_ms,
-            r.warm_hit_rate,
-            r.stolen,
-            r.done,
-            r.overloaded,
-            r.shed,
-            r.requests
-        ));
-    }
-    json.push(']');
+    let cells = level_results
+        .iter()
+        .map(|r| {
+            Record::default()
+                .str("scheme", &r.scheme)
+                .str("level", &r.level)
+                .int("seed", seed)
+                .str("tier", tier)
+                .str("transition_scheme", &scheme_label)
+                .num("offered_rps", r.offered_rps, 1)
+                .num("achieved_rps", r.achieved_rps, 1)
+                .num("p50_ms", r.p50_ms, 3)
+                .num("p99_ms", r.p99_ms, 3)
+                .num("p999_ms", r.p999_ms, 3)
+                .num("warm_hit_rate", r.warm_hit_rate, 4)
+                .int("stolen", r.stolen)
+                .int("done", r.done)
+                .int("overloaded", r.overloaded)
+                .int("shed", r.shed)
+                .int("requests", r.requests)
+        })
+        .collect();
+    record = record.rows("cells", cells);
     if let Some((_, cells)) = &degrade_results {
-        json.push_str(",\"degrade_cells\":[");
-        for (i, c) in cells.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            json.push_str(&format!(
-                "{{\"variant\":\"{}\",\"load\":\"{}\",\"seed\":{seed},\
-                 \"offered\":{},\"offered_rps\":{:.1},\"achieved_rps\":{:.1},\
-                 \"healthy_p50_ms\":{:.3},\"healthy_p99_ms\":{:.3},\
-                 \"done\":{},\"deadline_exceeded\":{},\"circuit_open\":{},\"panicked\":{},\
-                 \"shed\":{},\"overloaded\":{},\"rejected\":{},\"quarantined\":{}}}",
-                c.variant,
-                c.mult,
-                c.offered,
-                c.offered_rps,
-                c.achieved_rps,
-                c.healthy_p50_ms,
-                c.healthy_p99_ms,
-                c.done,
-                c.deadline,
-                c.circuit_open,
-                c.panicked,
-                c.shed,
-                c.overloaded,
-                c.rejected,
-                c.quarantined
-            ));
-        }
-        json.push(']');
+        let rows = cells
+            .iter()
+            .map(|c| {
+                Record::default()
+                    .str("variant", c.variant)
+                    .str("load", c.mult)
+                    .int("seed", seed)
+                    .int("offered", c.offered)
+                    .num("offered_rps", c.offered_rps, 1)
+                    .num("achieved_rps", c.achieved_rps, 1)
+                    .num("healthy_p50_ms", c.healthy_p50_ms, 3)
+                    .num("healthy_p99_ms", c.healthy_p99_ms, 3)
+                    .int("done", c.done)
+                    .int("deadline_exceeded", c.deadline)
+                    .int("circuit_open", c.circuit_open)
+                    .int("panicked", c.panicked)
+                    .int("shed", c.shed)
+                    .int("overloaded", c.overloaded)
+                    .int("rejected", c.rejected)
+                    .int("quarantined", c.quarantined)
+            })
+            .collect();
+        record = record.rows("degrade_cells", rows);
     }
-    json.push('}');
-    std::fs::write(&out_path, format!("{json}\n")).expect("write serving json");
-    eprintln!("[serving] wrote {out_path}");
+    let out = harness.out_or("BENCH_serving.json");
+    record.write(out).expect("write serving json");
+    eprintln!("[serving] wrote {out}");
 
     // Invariants this benchmark exists to demonstrate.
     let mut failed = correctness_failures > 0;
@@ -1065,78 +978,7 @@ fn main() {
         hfi.density, guard.density
     );
 
-    if let Some(baseline) = baseline {
-        for (scheme, base_p99, base_rps) in baseline {
-            let measured_p99 = level_results
-                .iter()
-                .find(|r| r.scheme == scheme && r.level == lowest)
-                .map(|r| r.p99_ms)
-                .unwrap_or(f64::NAN);
-            let measured_rps = level_results
-                .iter()
-                .find(|r| r.scheme == scheme && r.level == highest)
-                .map(|r| r.achieved_rps)
-                .unwrap_or(f64::NAN);
-            let p99_ceiling = base_p99 * (1.0 + REGRESSION_BUDGET) + P99_SLACK_MS;
-            let rps_floor = base_rps * (1.0 - REGRESSION_BUDGET);
-            println!(
-                "  gate[{scheme}]: p99 {base_p99:.2} -> {measured_p99:.2} ms \
-                 (ceiling {p99_ceiling:.2}); rps {base_rps:.0} -> {measured_rps:.0} \
-                 (floor {rps_floor:.0})"
-            );
-            // NaN (scheme missing from this run) must fail the gate.
-            if measured_p99.is_nan() || measured_p99 > p99_ceiling {
-                eprintln!(
-                    "[serving] FAIL: {scheme} p99 regressed more than {:.0}% \
-                     ({measured_p99:.2} > {p99_ceiling:.2} ms)",
-                    REGRESSION_BUDGET * 100.0
-                );
-                failed = true;
-            }
-            if measured_rps.is_nan() || measured_rps < rps_floor {
-                eprintln!(
-                    "[serving] FAIL: {scheme} throughput regressed more than {:.0}% \
-                     ({measured_rps:.0} < {rps_floor:.0} rps)",
-                    REGRESSION_BUDGET * 100.0
-                );
-                failed = true;
-            }
-        }
-    }
-    // Degrade gate against the committed baseline: healthy-tenant p99
-    // under faults at sub-saturation loads must not regress. Baselines
-    // recorded before the degradation sweep existed lack these keys and
-    // are skipped with a note (the next re-record picks them up).
-    if let (Some((_, cells)), Some(baseline_path)) = (&degrade_results, check.as_ref()) {
-        let text = std::fs::read_to_string(baseline_path).unwrap_or_default();
-        for mult in ["05x", "1x"] {
-            let key = format!("degrade_faulty_{mult}_healthy_p99_ms");
-            let Some(base_p99) = extract_json_number(&text, &key) else {
-                eprintln!(
-                    "[serving] note: baseline {baseline_path} predates the degradation sweep \
-                     (no \"{key}\"); skipping the degrade gate"
-                );
-                break;
-            };
-            let measured = cells
-                .iter()
-                .find(|c| c.variant == "faulty" && c.mult == mult)
-                .map(|c| c.healthy_p99_ms)
-                .unwrap_or(f64::NAN);
-            let ceiling = base_p99 * (1.0 + REGRESSION_BUDGET) + P99_SLACK_MS;
-            println!(
-                "  gate[degrade/{mult}]: healthy p99 under faults {base_p99:.2} -> \
-                 {measured:.2} ms (ceiling {ceiling:.2})"
-            );
-            if measured.is_nan() || measured > ceiling {
-                eprintln!(
-                    "[serving] FAIL: degrade {mult} healthy p99 regressed \
-                     ({measured:.2} > {ceiling:.2} ms)"
-                );
-                failed = true;
-            }
-        }
-    }
+    failed |= baseline.is_some_and(|b| !b.check(&record));
     if failed {
         std::process::exit(1);
     }

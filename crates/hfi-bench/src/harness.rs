@@ -68,6 +68,8 @@
 //! * `--seed N` / `HFI_SEED=N` — RNG seed for binaries with stochastic
 //!   inputs (the serving load generator, the chaos campaign plans);
 //!   each binary documents its own default ([`Harness::seed_or`]).
+//! * `--check <baseline.json>` (alias `--baseline`), `--out <path>` —
+//!   a `BENCH_*.json` binary's [`crate::gate`] baseline and output path.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -82,31 +84,12 @@ use std::time::{Duration, Instant};
 
 use hfi_sim::RunRecord;
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::record::escape;
 
 fn context_json(figure: &str, context: &[(&str, String)]) -> String {
-    let mut line = format!("\"figure\":\"{}\"", json_escape(figure));
+    let mut line = format!("\"figure\":\"{}\"", escape(figure));
     for (key, value) in context {
-        line.push_str(&format!(
-            ",\"{}\":\"{}\"",
-            json_escape(key),
-            json_escape(value)
-        ));
+        line.push_str(&format!(",\"{}\":\"{}\"", escape(key), escape(value)));
     }
     line
 }
@@ -382,6 +365,8 @@ pub struct Harness {
     cell_deadline: Option<Duration>,
     cell_retries: u32,
     seed: Option<u64>,
+    check: Option<String>,
+    out: Option<String>,
 }
 
 /// Parsed harness-relevant command-line flags.
@@ -393,6 +378,8 @@ struct CliConfig {
     deadline_ms: Option<u64>,
     retries: Option<u32>,
     seed: Option<u64>,
+    check: Option<String>,
+    out: Option<String>,
 }
 
 fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
@@ -419,6 +406,8 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Result<CliConfig, String> {
             }
             "--cell-retries" => cfg.retries = Some(parse_value("--cell-retries", args.next())?),
             "--seed" => cfg.seed = Some(parse_value("--seed", args.next())?),
+            "--check" | "--baseline" => cfg.check = Some(parse_value("--check", args.next())?),
+            "--out" => cfg.out = Some(parse_value("--out", args.next())?),
             a if a.starts_with("--jobs=") => {
                 cfg.jobs = Some(parse_value(
                     "--jobs",
@@ -489,6 +478,8 @@ impl Harness {
         harness.cell_deadline = cfg.deadline_ms.map(Duration::from_millis);
         harness.cell_retries = cfg.retries.unwrap_or(0);
         harness.seed = cfg.seed;
+        harness.check = cfg.check;
+        harness.out = cfg.out;
         if resume {
             harness = harness.with_resume();
         }
@@ -519,6 +510,8 @@ impl Harness {
             cell_deadline: None,
             cell_retries: 0,
             seed: None,
+            check: None,
+            out: None,
         }
     }
 
@@ -606,6 +599,16 @@ impl Harness {
     /// one flag pins the whole run.
     pub fn seed_or(&self, default: u64) -> u64 {
         self.seed.unwrap_or(default)
+    }
+
+    /// The `--check` baseline path, if one was given.
+    pub fn check_path(&self) -> Option<&str> {
+        self.check.as_deref()
+    }
+
+    /// The `--out` path, or `default` when none was given.
+    pub fn out_or<'a>(&'a self, default: &'a str) -> &'a str {
+        self.out.as_deref().unwrap_or(default)
     }
 
     /// The supervision policy configured by `--cell-deadline` /
@@ -927,7 +930,22 @@ mod tests {
         assert_eq!(Harness::new("test", 1, false).with_seed(7).seed_or(0), 7);
         assert_eq!(Harness::new("test", 1, false).seed_or(9), 9);
         // Foreign flags pass through untouched.
-        assert!(parse_cli(args(&["--mutants", "--check", "x.json"]).into_iter()).is_ok());
+        assert!(parse_cli(args(&["--mutants", "--degrade"]).into_iter()).is_ok());
+    }
+
+    #[test]
+    fn trailing_check_or_out_is_a_usage_error() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let ok = parse_cli(args(&["--baseline", "x.json", "--out", "y"]).into_iter()).unwrap();
+        assert_eq!(ok.check.as_deref(), Some("x.json"));
+        assert_eq!(ok.out.as_deref(), Some("y"));
+        let ok = parse_cli(args(&["--check", "z.json"]).into_iter()).unwrap();
+        assert_eq!(ok.check.as_deref(), Some("z.json"));
+        // A trailing flag used to be dropped silently: no gate ran, or
+        // the record went to the default path, and the run exited 0.
+        assert!(parse_cli(args(&["--smoke", "--check"]).into_iter()).is_err());
+        assert!(parse_cli(args(&["--smoke", "--baseline"]).into_iter()).is_err());
+        assert!(parse_cli(args(&["--out"]).into_iter()).is_err());
     }
 
     #[test]

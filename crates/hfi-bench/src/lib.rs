@@ -12,13 +12,16 @@
 //!   the kernel's Rust reference, and capture the full counter surface.
 //! * Shared figure grids ([`fig3_grid`], [`fig2_grid`]) used by both
 //!   the binaries and the cross-executor integration tests.
+//! * The `BENCH_*.json` [`record`] format and its baseline [`gate`].
 //! * Plain-text table output and summary statistics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fuzzgen;
+pub mod gate;
 pub mod harness;
+pub mod record;
 pub mod transitions;
 pub mod verifyset;
 

@@ -27,7 +27,8 @@
 //!
 //! The `serve_bench` binary in `hfi-bench` drives all three and
 //! commits `BENCH_serving.json`; the `serving-smoke` CI job gates its
-//! p99 and throughput against the committed baseline.
+//! p99, throughput and healthy-tenant p99 under faults against the
+//! committed baseline in one run, through `hfi_bench::gate::serving`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
